@@ -3,6 +3,7 @@
 # Local:  `make ci` is the full gate contributors run before pushing —
 #         format check, vet, build, full tests (plain and -race: the sim
 #         kernel and the fabric dispatchers move work across goroutines),
+#         the perfbench module's own short tests (`perfbench-test`),
 #         and `bench-check`, the bench-regression gate: every experiment
 #         harness (E1-E17) runs at -benchtime 3x -benchmem and FAILS the
 #         build if any harness's ns/op regressed more than 25% against the
@@ -39,9 +40,9 @@ GO ?= go
 # committed baseline).
 BENCH_THRESHOLD ?= 0.25
 
-.PHONY: ci fmt vet build test test-race bench-smoke bench-check baseline telemetry-smoke autopilot-smoke chaos-smoke chaos
+.PHONY: ci fmt vet build test test-race perfbench-test bench-smoke bench-check baseline telemetry-smoke autopilot-smoke chaos-smoke chaos
 
-ci: fmt vet build test test-race bench-check telemetry-smoke autopilot-smoke chaos-smoke
+ci: fmt vet build test test-race perfbench-test bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -58,6 +59,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The system benchmark lives in its own module (perfbench/), so ./... above
+# does not reach it. Its short tests check the workloads' determinism and
+# that the reported metrics match BENCHMARK.json's declared names.
+perfbench-test:
+	cd perfbench && $(GO) test -short ./...
 
 # One iteration of every experiment benchmark: catches harness regressions
 # without paying for a statistically meaningful measurement.

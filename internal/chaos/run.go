@@ -596,7 +596,8 @@ func (emptySet) CommittedTxns() []uint64  { return nil }
 // checkpoint asserts every invariant that must hold at a recovery point:
 // per-tenant fail-closed journal state, epoch boundaries, an any-instant
 // consistent cut on every live tenant's backup, zero residue for everyone
-// who left, and no orphan replication engines.
+// who left, no orphan replication engines, and untouched shared zero
+// blocks on both arrays.
 func (r *runner) checkpoint(p *sim.Proc, label string) {
 	r.res.Checks++
 	before := len(r.res.Violations)
@@ -628,6 +629,7 @@ func (r *runner) checkpoint(p *sim.Proc, label string) {
 		}
 	}
 	r.violations(p, r.orphanCheck())
+	r.violations(p, invariants.CheckSharedZeroBlock(r.sys.Main.Array, r.sys.Backup.Array))
 	r.logf(p, "checkpoint %q: %d new violations", label, len(r.res.Violations)-before)
 }
 
@@ -672,6 +674,7 @@ func (r *runner) finish(p *sim.Proc) {
 		r.violations(p, invariants.CheckZeroResidue(t.ns, r.sys.TenantResidue(t.ns)))
 	}
 	r.violations(p, r.orphanCheck())
+	r.violations(p, invariants.CheckSharedZeroBlock(r.sys.Main.Array, r.sys.Backup.Array))
 	total := 0
 	for _, t := range r.ten {
 		total += t.placed

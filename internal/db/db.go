@@ -24,7 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/replication"
@@ -233,24 +234,27 @@ func (d *DB) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 func (d *DB) Scan(p *sim.Proc, fn func(Row) bool) error {
 	// Sequential scan: pull any uncached part of the data region with one
 	// fused range read instead of one random read per page. Cached (and in
-	// particular dirty) pages are kept.
+	// particular dirty) pages are kept. The range is shared with the volume
+	// and commits write into cached pages, so the pages inserted here are
+	// copied, into one backing allocation.
 	if rr, ok := d.vol.(blockRangeReader); ok {
-		missing := false
+		missing := 0
 		for b := d.dataBase; b < d.dataBase+d.dataPages; b++ {
 			if _, ok := d.pages[b]; !ok {
-				missing = true
-				break
+				missing++
 			}
 		}
-		if missing {
+		if missing > 0 {
 			blocks, err := rr.ReadRange(p, d.dataBase, int(d.dataPages))
 			if err != nil {
 				return err
 			}
+			backing := make([]byte, 0, missing*d.blockSize)
 			for i, blk := range blocks {
 				b := d.dataBase + int64(i)
 				if _, ok := d.pages[b]; !ok {
-					d.pages[b] = blk
+					backing = append(backing, blk...)
+					d.pages[b] = backing[len(backing)-len(blk) : len(backing) : len(backing)]
 				}
 			}
 		}
@@ -358,11 +362,8 @@ func (d *DB) walFits(sizes []int) bool {
 // Checkpoint flushes dirty pages, bumps the log epoch, and resets the WAL
 // head — the no-force flush point.
 func (d *DB) Checkpoint(p *sim.Proc) error {
-	blocks := make([]int64, 0, len(d.dirty))
-	for b := range d.dirty {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
+	blocks := slices.AppendSeq(make([]int64, 0, len(d.dirty)), maps.Keys(d.dirty))
+	slices.Sort(blocks)
 	for _, b := range blocks {
 		if _, err := d.vol.Write(p, b, d.pages[b]); err != nil {
 			return err
@@ -384,11 +385,8 @@ func (d *DB) Checkpoint(p *sim.Proc) error {
 // recovery plus this session), sorted ascending. The consistency verifier
 // compares these sets across databases.
 func (d *DB) CommittedTxns() []uint64 {
-	out := make([]uint64, 0, len(d.committed))
-	for id := range d.committed {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.AppendSeq(make([]uint64, 0, len(d.committed)), maps.Keys(d.committed))
+	slices.Sort(out)
 	return out
 }
 

@@ -3,7 +3,8 @@ package db
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -46,7 +47,8 @@ func readBlockRange(p *sim.Proc, vol BlockReader, start int64, count int) ([][]b
 
 // View is a read-only database opened from any BlockReader. It runs the
 // same WAL replay as Open but keeps redone pages in a memory overlay, so
-// the underlying image (typically a snapshot) is untouched.
+// the underlying image (typically a snapshot) is untouched. A scan preloads
+// the data region as a dense image behind the overlay.
 type View struct {
 	name      string
 	vol       BlockReader
@@ -55,12 +57,12 @@ type View struct {
 	walBase   int64
 	dataBase  int64
 	dataPages int64
-	overlay   map[int64][]byte // replayed pages
+	overlay   map[int64][]byte // replayed pages (caller-owned copies)
+	image     [][]byte         // preloaded data region (shared, read-only)
 	committed map[uint64]bool
 	recovered int
 	replayDur time.Duration
 	torn      bool
-	preloaded bool
 }
 
 // OpenView attaches read-only to a formatted volume image and replays its
@@ -130,10 +132,15 @@ func (v *View) pageBlock(key uint64) int64 {
 	return v.dataBase + int64(key%uint64(v.dataPages))
 }
 
-// loadPage returns the overlay page, populating it from the image on miss.
+// loadPage returns the overlay page, else the preloaded image page, else a
+// copy read into the overlay. Only the WAL replay writes into the pages it
+// gets, and it runs before any preload, so it always gets overlay copies.
 func (v *View) loadPage(p *sim.Proc, block int64) ([]byte, error) {
 	if pg, ok := v.overlay[block]; ok {
 		return pg, nil
+	}
+	if v.image != nil {
+		return v.image[block-v.dataBase], nil
 	}
 	pg, err := v.vol.Read(p, block)
 	if err != nil {
@@ -184,38 +191,24 @@ func (v *View) Scan(p *sim.Proc, fn func(Row) bool) error {
 	return nil
 }
 
-// preload pulls every data page not already in the overlay with one fused
-// sequential read. Pages replayed from the WAL keep their overlay content.
+// preload reads the whole data region with one fused sequential read and
+// keeps it as the image behind the overlay: pages replayed from the WAL
+// still take precedence.
 func (v *View) preload(p *sim.Proc) error {
-	if v.preloaded {
-		return nil
-	}
-	v.preloaded = true
 	rr, ok := v.vol.(blockRangeReader)
-	if !ok {
-		return nil // per-page loads below
+	if v.image != nil || !ok {
+		return nil // preloaded already, or per-page loads below
 	}
 	blocks, err := rr.ReadRange(p, v.dataBase, int(v.dataPages))
-	if err != nil {
-		return err
-	}
-	for i, blk := range blocks {
-		b := v.dataBase + int64(i)
-		if _, ok := v.overlay[b]; !ok {
-			v.overlay[b] = blk
-		}
-	}
-	return nil
+	v.image = blocks
+	return err
 }
 
 // CommittedTxns returns the transaction IDs whose commit record was in the
 // image's WAL valid prefix, sorted ascending.
 func (v *View) CommittedTxns() []uint64 {
-	out := make([]uint64, 0, len(v.committed))
-	for id := range v.committed {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.AppendSeq(make([]uint64, 0, len(v.committed)), maps.Keys(v.committed))
+	slices.Sort(out)
 	return out
 }
 

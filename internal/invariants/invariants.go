@@ -29,7 +29,9 @@
 //   - no orphan groups: every registered replication engine belongs to a
 //     live tenant;
 //   - no leaked watches: an API server has no watch registrations left
-//     after its controllers stop.
+//     after its controllers stop;
+//   - shared zero block: no array's zero block, which range reads hand
+//     out for every unwritten block, was written into.
 package invariants
 
 import (
@@ -53,6 +55,9 @@ type Violation struct {
 	Tenant string
 	// Detail is the human-readable specifics.
 	Detail string
+	// Err is the typed error behind the violation, for checkers that wrap
+	// one (errors.Is-able); nil otherwise.
+	Err error
 }
 
 func (v Violation) String() string {
@@ -236,4 +241,21 @@ func CheckNoWatches(site string, api *platform.APIServer) []Violation {
 			"%s API server still holds %d watches after stop", site, n)}
 	}
 	return nil
+}
+
+// CheckSharedZeroBlock asserts that every array's shared zero block is
+// still all zeroes. Range reads return stored block buffers by reference
+// and this one block for every unwritten block, so a caller that wrote
+// into a ReadRange result would silently change the image of every
+// unwritten block on its array. Err carries storage.ErrZeroBlockWritten.
+func CheckSharedZeroBlock(arrays ...*storage.Array) []Violation {
+	var out []Violation
+	for _, a := range arrays {
+		if err := a.CheckZeroBlock(); err != nil {
+			v := violate("shared-zero-block", "", "%v", err)
+			v.Err = err
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package invariants
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -194,5 +195,25 @@ func TestCheckNoOrphanGroups(t *testing.T) {
 	}
 	if !strings.Contains(vs[0].String(), "g-b") || !strings.Contains(vs[1].String(), "g-c") {
 		t.Fatalf("order/content wrong: %v", vs)
+	}
+}
+
+func TestCheckSharedZeroBlock(t *testing.T) {
+	env := sim.NewEnv(1)
+	m := storage.NewArray(env, "m", storage.Config{})
+	b := storage.NewArray(env, "b", storage.Config{})
+	v, _ := b.CreateVolume("v", 4)
+	if vs := CheckSharedZeroBlock(m, b); len(vs) != 0 {
+		t.Fatalf("clean arrays flagged: %v", vs)
+	}
+	env.Process("r", func(p *sim.Proc) {
+		blocks, _ := v.ReadRange(p, 0, 4)
+		blocks[3][0] = 1 // writes into the shared zero block
+	})
+	env.Run(0)
+	vs := CheckSharedZeroBlock(m, b)
+	if len(vs) != 1 || !errors.Is(vs[0].Err, storage.ErrZeroBlockWritten) ||
+		!strings.Contains(vs[0].Detail, "array b") {
+		t.Fatalf("want one typed violation naming array b, got %v", vs)
 	}
 }

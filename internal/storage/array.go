@@ -16,7 +16,8 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -36,6 +37,9 @@ var (
 	ErrOutOfRange      = errors.New("storage: block index out of range")
 	ErrBadBlockSize    = errors.New("storage: data length must equal the block size")
 	ErrReadOnly        = errors.New("storage: volume is read-only")
+	// ErrZeroBlockWritten reports that something wrote into the array's
+	// shared zero block, which ReadRange hands out for unwritten blocks.
+	ErrZeroBlockWritten = errors.New("storage: shared zero block was written")
 )
 
 // VolumeID names a volume within one array.
@@ -99,7 +103,8 @@ type Array struct {
 	sharded    map[string]*ShardedJournal
 	snapshots  map[string]*Snapshot
 	groups     map[string]*SnapshotGroup
-	globalSeq  int64 // global ack counter across all volumes
+	globalSeq  int64  // global ack counter across all volumes
+	zero       []byte // the one shared, read-only image of an unwritten block
 
 	// Stats. Atomic because isolated-volume writes may execute inside
 	// parallel scheduler rounds (concurrent tenant steps).
@@ -120,7 +125,18 @@ func NewArray(env *sim.Env, name string, cfg Config) *Array {
 		sharded:    make(map[string]*ShardedJournal),
 		snapshots:  make(map[string]*Snapshot),
 		groups:     make(map[string]*SnapshotGroup),
+		zero:       make([]byte, cfg.BlockSize),
 	}
+}
+
+// CheckZeroBlock fails closed if anything wrote into the shared zero block:
+// a caller that modified a ReadRange result would otherwise silently change
+// the image of every unwritten block on the array.
+func (a *Array) CheckZeroBlock() error {
+	if i := slices.IndexFunc(a.zero, func(b byte) bool { return b != 0 }); i >= 0 {
+		return fmt.Errorf("%w: array %s, byte %d = %#x", ErrZeroBlockWritten, a.name, i, a.zero[i])
+	}
+	return nil
 }
 
 // Name returns the array name.
@@ -181,11 +197,8 @@ func (a *Array) Volume(id VolumeID) (*Volume, error) {
 
 // ListVolumes returns all volume IDs in lexical order.
 func (a *Array) ListVolumes() []VolumeID {
-	ids := make([]VolumeID, 0, len(a.volumes))
-	for id := range a.volumes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := slices.AppendSeq(make([]VolumeID, 0, len(a.volumes)), maps.Keys(a.volumes))
+	slices.Sort(ids)
 	return ids
 }
 
@@ -408,7 +421,7 @@ func (a *Array) Residue(prefix string) []string {
 			}
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -25,12 +27,7 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 	// Only blocks preserved by COW differ from the snapshot image; rewind
 	// exactly those. Other snapshots of the volume observe the rewind as
 	// ordinary overwrites (their COW fires), so they stay correct.
-	blocks := make([]int64, 0, len(s.saved))
-	for b := range s.saved {
-		blocks = append(blocks, b)
-	}
-	sortBlocks(blocks)
-	for _, b := range blocks {
+	for _, b := range slices.Sorted(maps.Keys(s.saved)) {
 		a.controller.Acquire(p)
 		p.Sleep(a.cfg.WriteLatency)
 		a.controller.Release()
@@ -39,9 +36,7 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 		if orig == nil {
 			delete(v.blocks, b) // block was unwritten at snapshot time
 		} else {
-			buf := make([]byte, len(orig))
-			copy(buf, orig)
-			v.blocks[b] = buf
+			v.blocks[b] = orig // immutable: installed by reference
 		}
 		v.writes++
 		a.writeOps.Add(1)
@@ -53,7 +48,8 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 
 // CloneVolume provisions a new volume containing a snapshot's image — the
 // "development from snapshot" pattern (mount backup data for test systems).
-// The clone is a full copy and consumes media time per copied block.
+// The clone consumes media time per copied block; it shares the immutable
+// block buffers with the snapshot image instead of duplicating them.
 func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume, error) {
 	s, ok := a.snapshots[snapID]
 	if !ok {
@@ -70,12 +66,8 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 		a.controller.Acquire(p)
 		p.Sleep(a.cfg.WriteLatency)
 		a.controller.Release()
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		clone.blocks[b] = buf
-		clone.writes++
-		a.writeOps.Add(1)
-		a.bytesWritten.Add(int64(len(data)))
+		clone.blocks[b] = data
+		clone.countWrite()
 	}
 	for b, orig := range s.saved {
 		seen[b] = true
@@ -89,12 +81,4 @@ func (a *Array) CloneVolume(p *sim.Proc, snapID string, newID VolumeID) (*Volume
 		}
 	}
 	return clone, nil
-}
-
-func sortBlocks(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -16,7 +18,7 @@ type Snapshot struct {
 	id      string
 	parent  *Volume
 	takenAt time.Duration
-	saved   map[int64][]byte // block -> original content (nil = was unwritten)
+	saved   map[int64][]byte // block -> original buffer, shared (nil = was unwritten)
 	group   string           // owning snapshot group, "" for standalone
 	reads   int64
 }
@@ -98,11 +100,8 @@ func (a *Array) DeleteVolumeSnapshots(id VolumeID) error {
 
 // ListSnapshots returns all snapshot IDs in lexical order.
 func (a *Array) ListSnapshots() []string {
-	out := make([]string, 0, len(a.snapshots))
-	for id := range a.snapshots {
-		out = append(out, id)
-	}
-	sort.Strings(out)
+	out := slices.AppendSeq(make([]string, 0, len(a.snapshots)), maps.Keys(a.snapshots))
+	slices.Sort(out)
 	return out
 }
 
@@ -128,8 +127,8 @@ func (s *Snapshot) Group() string { return s.group }
 // COW space cost).
 func (s *Snapshot) SavedBlocks() int { return len(s.saved) }
 
-// Read returns the block content as of the snapshot instant, consuming the
-// array's read service time.
+// Read returns a caller-owned copy of the block content as of the snapshot
+// instant, consuming the array's read service time.
 func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 	if block < 0 || block >= s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d]", ErrOutOfRange, s.id, block)
@@ -140,12 +139,13 @@ func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 	a.controller.Release()
 	s.reads++
 	a.readOps.Add(1)
-	return s.peek(block), nil
+	return bytes.Clone(s.block(block)), nil
 }
 
-// ReadRange returns copies of count consecutive snapshot blocks starting at
-// start — one fused sequential scan, like Volume.ReadRange: the controller
-// is held once and the service time of count reads is charged in one step.
+// ReadRange returns count consecutive snapshot blocks starting at start —
+// one fused sequential scan, like Volume.ReadRange: the controller is held
+// once and the service time of count reads is charged in one step. The
+// result is shared, read-only: never write into the result.
 func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > s.parent.sizeBlocks {
 		return nil, fmt.Errorf("%w: snapshot %s[%d..%d)", ErrOutOfRange, s.id, start, start+int64(count))
@@ -156,37 +156,27 @@ func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, err
 	a.controller.Release()
 	s.reads += int64(count)
 	a.readOps.Add(int64(count))
-	// One contiguous backing buffer for the range (see Volume.ReadRange).
-	bs := a.cfg.BlockSize
-	backing := make([]byte, count*bs)
 	out := make([][]byte, count)
 	for i := range out {
-		dst := backing[i*bs : (i+1)*bs : (i+1)*bs]
-		s.peekInto(dst, start+int64(i))
-		out[i] = dst
+		out[i] = s.block(start + int64(i))
 	}
 	return out, nil
 }
 
-// Peek returns the snapshot-time block content without consuming simulated
-// time (verification helper).
-func (s *Snapshot) Peek(block int64) []byte { return s.peek(block) }
+// Peek returns a caller-owned copy of the snapshot-time block content
+// without consuming simulated time (verification helper).
+func (s *Snapshot) Peek(block int64) []byte { return bytes.Clone(s.block(block)) }
 
-func (s *Snapshot) peek(block int64) []byte {
-	out := make([]byte, s.parent.array.cfg.BlockSize)
-	s.peekInto(out, block)
-	return out
-}
-
-// peekInto writes the snapshot-time block content into dst (assumed zeroed).
-func (s *Snapshot) peekInto(dst []byte, block int64) {
-	if orig, saved := s.saved[block]; saved {
-		copy(dst, orig) // nil orig = zeroes, already satisfied
-		return
+// block returns the snapshot-time buffer (shared, read-only): the preserved
+// original if the parent has overwritten the block since, else the parent's.
+func (s *Snapshot) block(b int64) []byte {
+	if orig, saved := s.saved[b]; saved {
+		if orig == nil {
+			return s.parent.array.zero
+		}
+		return orig
 	}
-	if cur, ok := s.parent.blocks[block]; ok {
-		copy(dst, cur)
-	}
+	return s.parent.block(b)
 }
 
 // SnapshotGroup is a set of snapshots created atomically across multiple

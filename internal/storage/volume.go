@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -12,6 +14,11 @@ import (
 // zeroes. Writes are acknowledged only after the controller has stored the
 // data and, when the volume belongs to a journal (replication is enabled),
 // appended the update log — this is the ack-order guarantee §I relies on.
+//
+// Stored block buffers are immutable. Every path that changes a block
+// (commit, Poke, Apply, restore, clone) installs a new buffer and never
+// writes into an installed one, so journal records, snapshot COW saves and
+// ReadRange results share them by reference instead of copying.
 type Volume struct {
 	id         VolumeID
 	array      *Array
@@ -51,11 +58,8 @@ func (v *Volume) TrackingChanges() bool { return v.changed != nil }
 // ChangedBlocks returns the blocks written since StartChangeTracking, in
 // ascending order.
 func (v *Volume) ChangedBlocks() []int64 {
-	out := make([]int64, 0, len(v.changed))
-	for b := range v.changed {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.AppendSeq(make([]int64, 0, len(v.changed)), maps.Keys(v.changed))
+	slices.Sort(out)
 	return out
 }
 
@@ -109,11 +113,8 @@ func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	if v.readOnly {
 		return Ack{}, fmt.Errorf("%w: %s", ErrReadOnly, v.id)
 	}
-	if block < 0 || block >= v.sizeBlocks {
-		return Ack{}, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
-	}
-	if len(data) != v.array.cfg.BlockSize {
-		return Ack{}, fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, len(data), v.array.cfg.BlockSize)
+	if err := v.checkWrite(block, data); err != nil {
+		return Ack{}, err
 	}
 	// One fused sleep: media plus (when journaled) journal staging. The ack
 	// time is identical to charging the two legs separately; fusing them
@@ -164,14 +165,8 @@ func (v *Volume) ackSeq() int64 {
 // the acking process — journal appends attribute their not-empty trigger to
 // it so the wakeup merges correctly under the parallel scheduler.
 func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte) Ack {
-	v.preserveForSnapshots(block)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	v.blocks[block] = buf
-	v.noteChange(block)
-	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(len(data)))
+	buf := v.store(block, data)
+	v.countWrite()
 	ack := Ack{
 		Volume:    v.id,
 		Block:     block,
@@ -194,26 +189,57 @@ func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte
 	return ack
 }
 
-// preserveForSnapshots copies the current block content into every snapshot
-// that has not yet saved it (copy-on-write).
+// checkWrite validates a block index and a block-sized payload.
+func (v *Volume) checkWrite(block int64, data []byte) error {
+	if block < 0 || block >= v.sizeBlocks {
+		return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
+	}
+	if len(data) != v.array.cfg.BlockSize {
+		return fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, len(data), v.array.cfg.BlockSize)
+	}
+	return nil
+}
+
+// store installs a private copy of data as the block's new buffer, after
+// snapshots have preserved the old one, and returns the installed buffer.
+func (v *Volume) store(block int64, data []byte) []byte {
+	v.preserveForSnapshots(block)
+	buf := bytes.Clone(data)
+	v.blocks[block] = buf
+	v.noteChange(block)
+	return buf
+}
+
+// countWrite charges one block write to the volume and array counters.
+func (v *Volume) countWrite() {
+	v.writes++
+	v.array.writeOps.Add(1)
+	v.array.bytesWritten.Add(int64(v.array.cfg.BlockSize))
+}
+
+// preserveForSnapshots saves the current block buffer, by reference, into
+// every snapshot that has not yet saved it (copy-on-write).
 func (v *Volume) preserveForSnapshots(block int64) {
 	for _, s := range v.snapshots {
 		if _, saved := s.saved[block]; saved {
 			continue
 		}
-		cur := v.blocks[block]
-		var orig []byte
-		if cur != nil {
-			orig = make([]byte, len(cur))
-			copy(orig, cur)
-		}
-		s.saved[block] = orig // nil means "was unwritten (zeroes)"
+		s.saved[block] = v.blocks[block] // nil means "was unwritten (zeroes)"
 		v.cowCopies++
 	}
 }
 
-// Read returns a copy of one block, consuming simulated read service time.
-// Unwritten blocks read as zeroes.
+// block returns the stored buffer (shared, read-only), or the array's zero
+// block when the block was never written.
+func (v *Volume) block(b int64) []byte {
+	if cur, ok := v.blocks[b]; ok {
+		return cur
+	}
+	return v.array.zero
+}
+
+// Read returns a caller-owned copy of one block, consuming simulated read
+// service time. Unwritten blocks read as zeroes.
 func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	if block < 0 || block >= v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
@@ -223,14 +249,18 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	v.releaseService()
 	v.reads++
 	v.array.readOps.Add(1)
-	return v.copyBlock(block), nil
+	return bytes.Clone(v.block(block)), nil
 }
 
-// ReadRange returns copies of count consecutive blocks starting at start —
-// one fused sequential scan: the service queue is held once for the whole
-// range and the service time of count reads is charged in a single step.
-// The completion time matches count back-to-back Reads on an uncontended
-// queue while costing one scheduler step instead of count.
+// ReadRange returns count consecutive blocks starting at start — one fused
+// sequential scan: the service queue is held once for the whole range and
+// the service time of count reads is charged in a single step. The
+// completion time matches count back-to-back Reads on an uncontended queue
+// while costing one scheduler step instead of count.
+//
+// The result is shared, read-only: never write into the result. Its
+// entries are the stored buffers themselves (the array's zero block for
+// unwritten blocks); copy any block before modifying it.
 func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error) {
 	if count < 0 || start < 0 || start+int64(count) > v.sizeBlocks {
 		return nil, fmt.Errorf("%w: %s[%d..%d)", ErrOutOfRange, v.id, start, start+int64(count))
@@ -240,51 +270,26 @@ func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error
 	v.releaseService()
 	v.reads += int64(count)
 	v.array.readOps.Add(int64(count))
-	// One contiguous backing buffer for the whole range: a fleet-scale scan
-	// otherwise allocates count small blocks, and the allocator/GC cost of
-	// those dominated host profiles.
-	bs := v.array.cfg.BlockSize
-	backing := make([]byte, count*bs)
 	out := make([][]byte, count)
 	for i := range out {
-		dst := backing[i*bs : (i+1)*bs : (i+1)*bs]
-		if cur, ok := v.blocks[start+int64(i)]; ok {
-			copy(dst, cur)
-		}
-		out[i] = dst
+		out[i] = v.block(start + int64(i))
 	}
 	return out, nil
 }
 
-// copyBlock returns a defensive copy of the block (zeroes if unwritten).
-func (v *Volume) copyBlock(block int64) []byte {
-	out := make([]byte, v.array.cfg.BlockSize)
-	if cur, ok := v.blocks[block]; ok {
-		copy(out, cur)
-	}
-	return out
-}
-
-// Peek returns the block contents without consuming simulated time. It is
-// the verification back door used by the consistency checker; production
-// code paths must use Read.
-func (v *Volume) Peek(block int64) []byte { return v.copyBlock(block) }
+// Peek returns a caller-owned copy of the block without consuming simulated
+// time. It is the verification back door used by the consistency checker;
+// production code paths must use Read.
+func (v *Volume) Peek(block int64) []byte { return bytes.Clone(v.block(block)) }
 
 // Poke installs block contents without consuming time or journaling; the
 // replication initial-copy path and test fixtures use it. Snapshots still
 // observe the overwrite (COW fires) so backup-site snapshots stay correct.
 func (v *Volume) Poke(block int64, data []byte) error {
-	if block < 0 || block >= v.sizeBlocks {
-		return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
+	if err := v.checkWrite(block, data); err != nil {
+		return err
 	}
-	if len(data) != v.array.cfg.BlockSize {
-		return fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, len(data), v.array.cfg.BlockSize)
-	}
-	v.preserveForSnapshots(block)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	v.blocks[block] = buf
-	v.noteChange(block)
+	v.store(block, data)
 	return nil
 }
 
@@ -296,9 +301,7 @@ func (v *Volume) InstallDelta(block int64, data []byte) error {
 	if err := v.Poke(block, data); err != nil {
 		return err
 	}
-	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(len(data)))
+	v.countWrite()
 	return nil
 }
 
@@ -306,34 +309,22 @@ func (v *Volume) InstallDelta(block int64, data []byte) error {
 // media service time but never journals (targets do not re-replicate) and
 // ignores read-only protection (the replication engine owns the target).
 func (v *Volume) Apply(p *sim.Proc, block int64, data []byte) error {
-	if block < 0 || block >= v.sizeBlocks {
-		return fmt.Errorf("%w: %s[%d]", ErrOutOfRange, v.id, block)
-	}
-	if len(data) != v.array.cfg.BlockSize {
-		return fmt.Errorf("%w: got %d want %d", ErrBadBlockSize, len(data), v.array.cfg.BlockSize)
+	if err := v.checkWrite(block, data); err != nil {
+		return err
 	}
 	v.acquireService(p)
 	p.Sleep(v.array.cfg.WriteLatency)
 	v.releaseService()
-	v.preserveForSnapshots(block)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	v.blocks[block] = buf
-	v.noteChange(block)
-	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(len(data)))
+	v.store(block, data)
+	v.countWrite()
 	return nil
 }
 
 // WrittenBlocks returns the indexes of blocks that have been written, in
 // ascending order (verification helper).
 func (v *Volume) WrittenBlocks() []int64 {
-	out := make([]int64, 0, len(v.blocks))
-	for b := range v.blocks {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.AppendSeq(make([]int64, 0, len(v.blocks)), maps.Keys(v.blocks))
+	slices.Sort(out)
 	return out
 }
 
