@@ -1,11 +1,12 @@
 # Build-gate entry points.
 #
 # Local:  `make ci` is the full gate contributors run before pushing —
-#         format check, vet, build, full tests (plain and -race: the sim
-#         kernel and the fabric dispatchers move work across goroutines),
+#         format check, vet, build, full tests (plain and -race: each
+#         simulated process is a goroutine under a channel handoff, and
+#         cmd/chaos runs seeds on concurrent worker goroutines),
 #         the perfbench module's own short tests (`perfbench-test`),
 #         and `bench-check`, the bench-regression gate: every experiment
-#         harness (E1-E17) runs at -benchtime 3x -benchmem and FAILS the
+#         harness (E1-E18) runs at -benchtime 3x -benchmem and FAILS the
 #         build if any harness's ns/op regressed more than 25% against the
 #         committed BENCH_baseline.json (alloc regressions warn; new
 #         benches are allowed and reported). `make bench-smoke` is the

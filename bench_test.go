@@ -190,28 +190,11 @@ func BenchmarkE13_ShardedThroughput(b *testing.B) {
 // shared two-site system, mixed OLTP + snapshot analytics + mid-run
 // failovers, with per-tenant cross-volume consistency verified. This is the
 // fleet-scale stress the sim-kernel fast paths (batch-grained processes,
-// fused range I/O, keyed watches, parallel tenant subgraphs) exist for; the
-// committed baseline pins its wall cost so kernel regressions block CI.
+// fused range I/O, keyed watches) exist for; the committed baseline pins its
+// wall cost so kernel regressions block CI.
 func BenchmarkE11_FleetScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.E11FleetScale(int64(i+1), 1024, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Verified != res.Tenants || res.Collapsed != 0 {
-			b.Fatalf("fleet inconsistent: %+v", res)
-		}
-	}
-}
-
-// BenchmarkE11_FleetScaleParallel is BenchmarkE11_FleetScale pinned to four
-// scheduler workers, so the parallel tenant-subgraph path is exercised (and
-// its wall cost pinned) even on hosts where GOMAXPROCS would pick a
-// different worker count. The simulated outcome is identical either way
-// (golden-trace verified).
-func BenchmarkE11_FleetScaleParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.E11FleetScaleWorkers(int64(i+1), 1024, 8, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +213,7 @@ func BenchmarkE11_FleetScaleParallel(b *testing.B) {
 // BenchmarkE11_FleetScale within a few percent.
 func BenchmarkE11_FleetScaleTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.E11FleetScaleTelemetry(int64(i+1), 1024, 8, 0, 5*time.Second)
+		res, err := experiments.E11FleetScaleTelemetry(int64(i+1), 1024, 8, 5*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +229,7 @@ func BenchmarkE11_FleetScaleTelemetry(b *testing.B) {
 // against the fleet's own sampler within one sample interval.
 func BenchmarkE16_Observability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.E16Observability(int64(i+1), 8, 8, 0)
+		res, err := experiments.E16Observability(int64(i+1), 8, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,7 +267,7 @@ func BenchmarkE14_Elasticity(b *testing.B) {
 // resources back at night. The acceptance shape is asserted here too.
 func BenchmarkE17_Autopilot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.E17Autopilot(int64(i+1), 1)
+		res, err := experiments.E17Autopilot(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}

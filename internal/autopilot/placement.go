@@ -126,9 +126,9 @@ func (ll *LeastLoaded) PlaceLane(namespace string, lane int, f *fabric.Fabric) i
 }
 
 // loggingPlacement wraps the configured policy so every placement answer
-// lands in the decision log. Placement runs inside reconcile steps (domain
-// 0, serialized by the kernel), so appending here is deterministic and
-// race-free even under parallel execution.
+// lands in the decision log. Placement runs inside reconcile steps, which
+// the kernel runs one at a time in (at, seq) order, so appending here is
+// deterministic.
 type loggingPlacement struct {
 	a     *Autopilot
 	inner core.PlacementPolicy

@@ -46,7 +46,6 @@ type ObservabilityResult struct {
 	Registry *telemetry.Registry
 
 	SimTime time.Duration
-	Workers int
 	Kernel  sim.Stats
 }
 
@@ -58,7 +57,7 @@ type ObservabilityResult struct {
 // trace-event JSON. It then cross-validates the probed RPO timelines against
 // the fleet's own sampler: each tenant's probed maximum must agree within
 // one sample interval.
-func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (ObservabilityResult, error) {
+func E16Observability(seed int64, tenants, ordersPerTenant int) (ObservabilityResult, error) {
 	const period = 250 * time.Millisecond
 	if tenants < 2 {
 		tenants = 2
@@ -66,7 +65,6 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 	f := fleet.New(fleet.Config{
 		Tenants:         tenants,
 		OrdersPerTenant: ordersPerTenant,
-		Workers:         workers,
 		StartBarrier:    true,
 		// The fleet sampler and the telemetry probes share one period, so
 		// their observation instants coincide and the cross-validation bound
@@ -89,7 +87,7 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 	if err := f.Run(); err != nil {
 		return ObservabilityResult{}, fmt.Errorf("E16: %w", err)
 	}
-	recordKernel(fmt.Sprintf("e16/tenants=%d,workers=%d", tenants, workers), f.Sys.Env)
+	recordKernel(fmt.Sprintf("e16/tenants=%d", tenants), f.Sys.Env)
 	tot := f.Totals()
 	reg := f.Sys.Telemetry
 	end := f.Sys.Env.Now()
@@ -110,7 +108,6 @@ func E16Observability(seed int64, tenants, ordersPerTenant, workers int) (Observ
 		TopRPO:       reg.TopK("rpo", 5, 0, end),
 		Registry:     reg,
 		SimTime:      end,
-		Workers:      workers,
 		Kernel:       f.Sys.Env.Stats(),
 	}
 	for _, t := range f.Tenants {
@@ -191,7 +188,6 @@ func E16Table(r ObservabilityResult) *metrics.Table {
 			fmt.Sprintf("%v at t=%v", time.Duration(rank.Max), rank.At))
 	}
 	t.AddRow("fleet virtual time", r.SimTime)
-	t.AddRow("scheduler workers", r.Workers)
 	t.AddNote("shape: probed RPO agrees with the in-process sampler within one interval; export is byte-deterministic")
 	return t
 }

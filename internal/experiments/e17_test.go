@@ -12,7 +12,7 @@ import (
 // effectors demonstrably fire. The full cycle must close: lanes added at
 // the peak edge are handed back at night, and admission caps end lifted.
 func TestE17AutopilotHoldsSLOWhereStaticViolates(t *testing.T) {
-	res, err := E17Autopilot(1, 1)
+	res, err := E17Autopilot(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,37 +53,34 @@ func TestE17AutopilotHoldsSLOWhereStaticViolates(t *testing.T) {
 }
 
 // TestAutopilotDeterminism pins the control plane's determinism claim: the
-// same E17 world run on the sequential scheduler and on 4 workers yields a
-// BYTE-identical decision log and an identical (at, seq) kernel trace. The
-// autopilot ticks, reconcile-driven reshards, and fabric dispatchers all
-// run domain-0 steps, so the parallel scheduler cannot reorder any sensing
-// or actuation relative to the tenants' parallel subgraphs.
+// same E17 world run twice from one seed yields a BYTE-identical decision
+// log and an identical (at, seq) kernel trace.
 func TestAutopilotDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			_, seqAp, seqSys, err := e17Run(seed, 1, true, true)
+			_, ap1, sys1, err := e17Run(seed, true, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, parAp, parSys, err := e17Run(seed, 4, true, true)
+			_, ap2, sys2, err := e17Run(seed, true, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqLog, parLog := seqAp.FormatLog(), parAp.FormatLog()
-			if seqLog == "" {
-				t.Fatal("sequential run made no decisions — determinism test degenerate")
+			log1, log2 := ap1.FormatLog(), ap2.FormatLog()
+			if log1 == "" {
+				t.Fatal("run made no decisions — determinism test degenerate")
 			}
-			if seqLog != parLog {
-				t.Fatalf("decision log diverged between schedulers:\nsequential:\n%s\nparallel:\n%s", seqLog, parLog)
+			if log1 != log2 {
+				t.Fatalf("decision log diverged on replay:\nfirst:\n%s\nsecond:\n%s", log1, log2)
 			}
-			st, pt := seqSys.Env.Trace(), parSys.Env.Trace()
-			if len(st) != len(pt) {
-				t.Fatalf("kernel trace length diverged: sequential %d steps, parallel %d", len(st), len(pt))
+			tr1, tr2 := sys1.Env.Trace(), sys2.Env.Trace()
+			if len(tr1) != len(tr2) {
+				t.Fatalf("kernel trace length diverged on replay: %d vs %d steps", len(tr1), len(tr2))
 			}
-			for i := range st {
-				if st[i] != pt[i] {
-					t.Fatalf("kernel trace diverged at step %d: sequential %+v, parallel %+v", i, st[i], pt[i])
+			for i := range tr1 {
+				if tr1[i] != tr2[i] {
+					t.Fatalf("kernel trace diverged on replay at step %d: %+v vs %+v", i, tr1[i], tr2[i])
 				}
 			}
 		})

@@ -1,16 +1,10 @@
 package experiments
 
 import (
-	"flag"
+	"runtime"
 	"testing"
 	"time"
 )
-
-// fleetTenants sizes the E11 parallel-scheduler smoke test. The default is
-// small so `go test -race ./...` (make ci) stays cheap; raise it to stress
-// the parallel kernel at scale: go test -race -run E11FleetSmoke \
-// ./internal/experiments -fleet.tenants=64
-var fleetTenants = flag.Int("fleet.tenants", 8, "tenant count for the E11 parallel smoke test")
 
 // These tests assert the SHAPE of each experiment's result — the
 // reproduction criteria from DESIGN.md: who wins, by roughly what factor,
@@ -411,22 +405,20 @@ func TestE11FleetAllTenantsConsistentAfterMixedRun(t *testing.T) {
 	}
 }
 
-// TestE11FleetSmokeParallel runs a small E11 fleet on the parallel scheduler
-// (4 workers regardless of host cores). Under `go test -race` — which make
-// ci runs — this is the standing data-race smoke for the kernel's parallel
-// rounds: tenant subgraphs really do execute on concurrent goroutines here,
-// so the race detector sees every cross-domain access pattern the full-scale
-// fleet exercises.
-func TestE11FleetSmokeParallel(t *testing.T) {
-	res, err := E11FleetScaleWorkers(11, *fleetTenants, 4, 4)
-	if err != nil {
-		t.Fatal(err)
+// TestE11TableHostIndependent pins that the E11 table depends only on the
+// seed and the fleet shape, never on how many cores the host has.
+func TestE11TableHostIndependent(t *testing.T) {
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := E11FleetScale(5, 6, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return E11Table(res).String()
 	}
-	if res.Verified != res.Tenants || res.Collapsed != 0 {
-		t.Fatalf("fleet verdicts wrong: %+v", res)
-	}
-	if res.Kernel.ParallelMerges == 0 || res.Kernel.ParallelSteps == 0 {
-		t.Fatalf("parallel scheduler never formed a parallel round: %+v", res.Kernel)
+	one, two := render(1), render(2)
+	if one != two {
+		t.Fatalf("E11 table differs by GOMAXPROCS:\n--- 1 ---\n%s\n--- 2 ---\n%s", one, two)
 	}
 }
 

@@ -41,10 +41,10 @@ func recordKernel(label string, env *sim.Env) {
 // environment an experiment retired.
 func KernelStatsTable() *metrics.Table {
 	t := metrics.NewTable("Kernel scheduler counters per experiment environment",
-		"experiment", "handoffs", "inline", "heap pushes", "fifo bypass", "timer cancels", "par rounds", "par steps")
+		"experiment", "handoffs", "inline", "heap pushes", "fifo bypass", "timer cancels")
 	for _, k := range kernelStats {
 		t.AddRow(k.Label, k.Stats.Handoffs, k.Stats.InlineSteps, k.Stats.HeapPushes,
-			k.Stats.FifoBypasses, k.Stats.TimerCancels, k.Stats.ParallelMerges, k.Stats.ParallelSteps)
+			k.Stats.FifoBypasses, k.Stats.TimerCancels)
 	}
 	t.AddNote("collected with -kernelstats; one row per simulated environment")
 	return t

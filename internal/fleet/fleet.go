@@ -87,20 +87,11 @@ type Config struct {
 	// if System.Telemetry is unset, it is enabled with this sample period
 	// (an explicit System.Telemetry wins, and its period governs).
 	RPOSample time.Duration
-	// Workers, when > 1, runs the simulation on the parallel scheduler:
-	// same-instant steps of distinct tenant domains execute concurrently on
-	// up to Workers OS goroutines, merged back into the exact sequential
-	// (at, seq) order. 0 or 1 runs the classic sequential scheduler. The
-	// simulated outcome is identical either way.
-	Workers int
 	// StartBarrier, when true, holds every initial-roster tenant at a
 	// barrier after provisioning: OLTP begins only once the whole roster is
 	// Ready, at one shared instant — the classic load-then-measure benchmark
-	// phase split. Besides separating provisioning skew from the measured
-	// phase, the shared start instant is what lets the parallel scheduler
-	// form large same-instant rounds of independent tenant steps; without it
-	// tenant timelines stay offset by their provisioning skew and rarely
-	// coincide. Join tenants arrive mid-run and skip the gate.
+	// phase split, which keeps provisioning skew out of the measured phase.
+	// Join tenants arrive mid-run and skip the gate.
 	StartBarrier bool
 	// System configures the shared two-site system (including the
 	// inter-site fabric's member links and QoS classes).
@@ -221,8 +212,7 @@ type Fleet struct {
 	Tenants []*Tenant
 
 	// Start-barrier state (Config.StartBarrier): gate fires when gateLeft
-	// initial-roster tenants have arrived. Touched only on domain 0 (pre-OLTP
-	// provisioning), which the scheduler never runs concurrently.
+	// initial-roster tenants have arrived.
 	gate     *sim.Event
 	gateLeft int
 }
@@ -238,11 +228,8 @@ func New(cfg Config) *Fleet {
 		cfg.System.ProvisionTimeout = cfg.ReadyTimeout
 	}
 	// Fleet tenants are independent service domains: each volume gets its
-	// own service queue and ack numbering scoped to its consistency group.
-	// This is both the realistic multi-tenant array model and the property
-	// that lets tenant OLTP steps run as parallel subgraphs (no shared
-	// controller resource crossing domains). Set for every worker count so
-	// sequential and parallel runs simulate the identical world.
+	// own service queue and ack numbering scoped to its consistency group,
+	// the realistic multi-tenant array model.
 	cfg.System.Storage.IsolatedVolumes = true
 	// MaxRPO reads the telemetry plane's probed "rpo" series — the fleet
 	// has no private sampling loop. RPOSample therefore implies telemetry.
@@ -385,11 +372,7 @@ func (f *Fleet) Run() error {
 			t.ReshardAt, t.ReshardTime = start, p.Now()-start
 		})
 	}
-	if f.Cfg.Workers > 1 {
-		f.Sys.Env.RunParallel(f.Cfg.Horizon, f.Cfg.Workers)
-	} else {
-		f.Sys.Env.Run(f.Cfg.Horizon)
-	}
+	f.Sys.Env.Run(f.Cfg.Horizon)
 	if f.Sys.Env.Idle() {
 		// Completed run: quiesce controllers, drains, and dispatchers so a
 		// discarded fleet leaves no parked simulation goroutines behind
@@ -513,29 +496,13 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 	wcfg.Seed = f.Cfg.System.Seed + int64(t.Index)*7919
 	bp.Shop = workload.NewShop(f.Sys.Env, bp.Sales, bp.Stock, wcfg)
 
-	// OLTP phases touch only this tenant's shop, databases, volumes, and
-	// journal, so they ride a per-tenant domain: under Config.Workers the
-	// scheduler executes same-instant steps of distinct domains
-	// concurrently. The domain binds from the step after SetDomain, and
-	// leaving one requires crossing a step boundary (Sleep(0)) before
-	// touching shared state again — see sim.Proc.SetDomain. Everything else
-	// (provision, catch-up, analytics, failover, leave) shares system state
-	// and stays on domain 0.
-	runShop := func(orders int) error {
-		p.SetDomain(t.Index + 1)
-		err := bp.Shop.Run(p, orders)
-		p.SetDomain(0)
-		p.Sleep(0)
-		return err
-	}
-
 	// Start barrier: the measured mixed-workload phase begins only once the
 	// whole initial roster is Ready, at one shared instant.
 	f.gateArrive(p, t, true)
 
 	// Phase 1: first half of the OLTP load on every tenant concurrently.
 	half := f.orders(t) / 2
-	if err := runShop(half); err != nil {
+	if err := bp.Shop.Run(p, half); err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}
 
@@ -570,7 +537,7 @@ func (f *Fleet) runTenant(p *sim.Proc, t *Tenant) error {
 	}
 
 	// Phase 2: remaining load, then drain and verify the backup image.
-	if err := runShop(f.orders(t) - half); err != nil {
+	if err := bp.Shop.Run(p, f.orders(t)-half); err != nil {
 		return fmt.Errorf("phase 2: %w", err)
 	}
 	t.OrdersPlaced = bp.Shop.Completed.Value()

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"time"
@@ -10,9 +11,8 @@ import (
 	"repro/internal/workload"
 )
 
-// tenantOutcome is the per-tenant result surface compared between the
-// sequential and parallel schedulers. Every field a fleet caller (E11/E14/
-// E15) reads is represented.
+// tenantOutcome is the per-tenant result surface the golden tests pin.
+// Every field a fleet caller (E11/E14/E15) reads is represented.
 type tenantOutcome struct {
 	Namespace       string
 	OrdersPlaced    int64
@@ -87,15 +87,14 @@ func goldenConfig(seed int64) Config {
 		})
 	}
 	// Half the schedules start OLTP at a fleet-wide barrier (E11's
-	// load-then-measure shape, where same-instant tenant rounds are dense),
-	// half free-run so the skewed-start path stays covered too.
+	// load-then-measure shape), half free-run so the skewed-start path
+	// stays covered too.
 	cfg.StartBarrier = rng.Intn(2) == 0
 	return cfg
 }
 
-func runGoldenFleet(t *testing.T, cfg Config, workers int) ([]sim.TraceEntry, []tenantOutcome, time.Duration, sim.Stats) {
+func runGoldenFleet(t *testing.T, cfg Config) ([]sim.TraceEntry, []tenantOutcome, time.Duration) {
 	t.Helper()
-	cfg.Workers = workers
 	f := New(cfg)
 	f.Sys.Env.StartTrace()
 	err := f.Run()
@@ -104,51 +103,59 @@ func runGoldenFleet(t *testing.T, cfg Config, workers int) ([]sim.TraceEntry, []
 		outs[i] = outcomeOf(tn)
 	}
 	if err != nil {
-		t.Fatalf("fleet run (workers=%d): %v\noutcomes: %+v", workers, err, outs)
+		t.Fatalf("fleet run: %v\noutcomes: %+v", err, outs)
 	}
-	return f.Sys.Env.Trace(), outs, f.Sys.Env.Now(), f.Sys.Env.Stats()
+	return f.Sys.Env.Trace(), outs, f.Sys.Env.Now()
+}
+
+// outcomeDigest is the FNV-64a digest of a run's per-tenant outcomes and
+// end time.
+func outcomeDigest(outs []tenantOutcome, end time.Duration) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v end=%v", outs, end)
+	return h.Sum64()
+}
+
+// goldenOutcomeDigests pins outcomeDigest for goldenConfig seeds 1..8.
+var goldenOutcomeDigests = [8]uint64{
+	0x7715bc654de5923f, 0xa12e6b464842478f, 0x6fce91b9ef91cc86, 0xb8163b95f37af4eb,
+	0x5fdf504fef71cc07, 0x2539052c34cdce62, 0xa9f050fe37167eeb, 0x20999479e7851a71,
 }
 
 // TestFleetGoldenTraceParallelMatchesSequential runs randomized fleet
-// schedules twice — sequential scheduler vs parallel subgraph scheduler —
-// and requires byte-identical (at, seq) execution traces and identical
-// per-tenant outcomes. This is the fleet-level half of the determinism
-// proof; internal/sim's golden test covers the kernel on 100 random worlds.
+// schedules twice and requires byte-identical (at, seq) execution traces and
+// identical per-tenant outcomes, with the outcomes and end time matching the
+// pinned digests. This is the fleet-level half of the determinism proof;
+// internal/sim's golden test covers the kernel on 100 random worlds. The
+// name is kept from the removed parallel scheduler so the test ID stays
+// stable; what it checks is replay.
 func TestFleetGoldenTraceParallelMatchesSequential(t *testing.T) {
-	parallelSeen := false
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := goldenConfig(seed)
-			seqTrace, seqOuts, seqEnd, _ := runGoldenFleet(t, cfg, 1)
-			parTrace, parOuts, parEnd, stats := runGoldenFleet(t, cfg, 4)
-			if stats.ParallelRounds > 0 {
-				parallelSeen = true
+			trace, outs, end := runGoldenFleet(t, cfg)
+			again, outs2, end2 := runGoldenFleet(t, cfg)
+			if end != end2 {
+				t.Fatalf("end time diverged on replay: %v vs %v", end, end2)
 			}
-			if seqEnd != parEnd {
-				t.Fatalf("end time diverged: sequential %v, parallel %v", seqEnd, parEnd)
+			if len(trace) != len(again) {
+				t.Fatalf("trace length diverged on replay: %d vs %d", len(trace), len(again))
 			}
-			if len(seqTrace) != len(parTrace) {
-				t.Fatalf("trace length diverged: sequential %d, parallel %d", len(seqTrace), len(parTrace))
-			}
-			for i := range seqTrace {
-				if seqTrace[i] != parTrace[i] {
-					t.Fatalf("trace diverged at step %d: sequential %+v, parallel %+v",
-						i, seqTrace[i], parTrace[i])
+			for i := range trace {
+				if trace[i] != again[i] {
+					t.Fatalf("trace diverged on replay at step %d: %+v vs %+v", i, trace[i], again[i])
 				}
 			}
-			if len(seqOuts) != len(parOuts) {
-				t.Fatalf("tenant count diverged: %d vs %d", len(seqOuts), len(parOuts))
-			}
-			for i := range seqOuts {
-				if seqOuts[i] != parOuts[i] {
-					t.Fatalf("tenant %s outcome diverged:\nsequential: %+v\nparallel:   %+v",
-						seqOuts[i].Namespace, seqOuts[i], parOuts[i])
+			for i := range outs {
+				if outs[i] != outs2[i] {
+					t.Fatalf("tenant %s outcome diverged on replay:\nfirst:  %+v\nsecond: %+v",
+						outs[i].Namespace, outs[i], outs2[i])
 				}
+			}
+			if got, want := outcomeDigest(outs, end), goldenOutcomeDigests[seed-1]; got != want {
+				t.Fatalf("outcome digest = %#x, want %#x\noutcomes: %+v\nend: %v", got, want, outs, end)
 			}
 		})
-	}
-	if !parallelSeen {
-		t.Fatalf("no schedule ever formed a parallel round; the parallel path went untested")
 	}
 }

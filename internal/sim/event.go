@@ -29,17 +29,9 @@ func (ev *Event) Triggered() bool { return ev.triggered }
 
 // Trigger fires the event, scheduling every waiter to resume at the current
 // virtual time. Waiters resume in the order they began waiting.
-//
-// Trigger must not be called with waiters from inside a parallel round —
-// the kernel cannot attribute the resumes to a step, so the merged order
-// would be undefined; such call sites use Proc.Trigger instead. (A
-// waiterless Trigger only flips the flag and is always safe.)
 func (ev *Event) Trigger() {
 	if ev.triggered {
 		return
-	}
-	if ev.env.inRound && len(ev.waiters) > 0 {
-		panic("sim: Event.Trigger with waiters during a parallel round; use Proc.Trigger")
 	}
 	ev.triggered = true
 	for _, w := range ev.waiters {
@@ -52,28 +44,6 @@ func (ev *Event) Trigger() {
 			}
 		}
 		ev.env.schedule(w.proc, ev.env.now)
-	}
-	ev.waiters = nil
-}
-
-// triggerVia is Trigger with every kernel effect (timer cancels, waiter
-// resumes) attributed to p's current effect segment; Proc.Trigger routes
-// here during parallel rounds.
-func (ev *Event) triggerVia(p *Proc) {
-	if ev.triggered {
-		return
-	}
-	ev.triggered = true
-	for _, w := range ev.waiters {
-		if w.timer != 0 {
-			ev.env.cancelVia(p, w.timer)
-		}
-		for _, other := range w.group {
-			if other != ev {
-				other.remove(w.proc)
-			}
-		}
-		ev.env.scheduleVia(p, w.proc, ev.env.now)
 	}
 	ev.waiters = nil
 }

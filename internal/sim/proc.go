@@ -11,14 +11,6 @@ type Proc struct {
 	name   string
 	resume chan struct{}
 	done   bool
-	// domain is the process's parallel-execution domain. Steps of processes
-	// in pairwise-distinct non-zero domains that fall due at the same
-	// instant may run concurrently under RunParallel; domain 0 (the
-	// default) never runs concurrently with anything.
-	domain int
-	// seg is non-nil exactly while the process executes inside a parallel
-	// round: kernel effects are buffered here and committed in step order.
-	seg *stepSeg
 	// Done triggers when the process function returns; other processes can
 	// Wait on it to join.
 	Done *Event
@@ -35,18 +27,13 @@ func (e *Env) newProc(name string) *Proc {
 }
 
 func (e *Env) startProc(p *Proc, at time.Duration, fn func(p *Proc)) {
-	if e.inRound {
-		// The initial schedule cannot be attributed to the spawning step, so
-		// spawning inside a round would mutate the queue concurrently.
-		panic("sim: Process/ProcessAt called during a parallel round")
-	}
-	e.procs.Add(1)
+	e.procs++
 	go func() {
 		<-p.resume
 		fn(p)
 		p.done = true
-		e.procs.Add(-1)
-		p.Trigger(p.Done)
+		e.procs--
+		p.Done.Trigger()
 		e.yield <- struct{}{}
 	}()
 	if at < e.now {
@@ -79,46 +66,17 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
-// SetDomain assigns the process to a parallel-execution domain. Two steps
-// due at the same instant run concurrently under RunParallel only if their
-// processes carry distinct non-zero domains — a domain is a promise that
-// the process, while in it, touches no simulation state shared with any
-// other domain except through attributed kernel operations (Sleep, Wait,
-// Proc.Trigger) and data-race-free application state. Domain 0 revokes the
-// promise; steps of domain-0 processes always run alone.
-//
-// The domain is read when a step is collected, so a change takes effect
-// from the process's NEXT step. A process leaving a domain (SetDomain(0))
-// must pass a step boundary — p.Sleep(0) — before touching shared state:
-// the step it is currently in was collected under the old domain and may be
-// running inside a round.
-func (p *Proc) SetDomain(d int) { p.domain = d }
-
-// Domain returns the process's parallel-execution domain.
-func (p *Proc) Domain() int { return p.domain }
-
 // Do runs fn inline as zero-duration work attributed to the process. It
 // exists so call sites can make "this is deliberately instantaneous — no
 // scheduler round trip" explicit, and so the kernel can count how much
 // work the batch-grained code paths perform without a handoff.
 func (p *Proc) Do(fn func()) {
-	p.env.stats.inlineSteps.Add(1)
+	p.env.stats.InlineSteps++
 	fn()
 }
 
-// Trigger fires ev on behalf of the process. Outside a parallel round it is
-// exactly Event.Trigger; inside one it attributes the waiter resumes (and
-// timer cancels) to the process's effect segment, which is what keeps the
-// merged (at, seq) order identical to the sequential scheduler's. Any code
-// that can trigger an event with waiters from inside a domain's step must
-// use this instead of Event.Trigger.
-func (p *Proc) Trigger(ev *Event) {
-	if p.seg == nil {
-		ev.Trigger()
-		return
-	}
-	ev.triggerVia(p)
-}
+// Trigger fires ev on behalf of the process; it is exactly Event.Trigger.
+func (p *Proc) Trigger(ev *Event) { ev.Trigger() }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
 // treated as zero (yield to same-time events scheduled earlier).
@@ -126,7 +84,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.scheduleVia(p, p, p.env.now+d)
+	p.env.schedule(p, p.env.now+d)
 	p.block()
 }
 
@@ -143,9 +101,9 @@ func (p *Proc) Wait(ev *Event) {
 		return
 	}
 	ev.waiters = append(ev.waiters, waiter{proc: p})
-	p.env.blocked.Add(1)
+	p.env.blocked++
 	p.block()
-	p.env.blocked.Add(-1)
+	p.env.blocked--
 }
 
 // WaitAny suspends the process until any of the given events triggers and
@@ -160,9 +118,9 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 	for _, ev := range evs {
 		ev.waiters = append(ev.waiters, waiter{proc: p, group: evs})
 	}
-	p.env.blocked.Add(1)
+	p.env.blocked++
 	p.block()
-	p.env.blocked.Add(-1)
+	p.env.blocked--
 	for i, ev := range evs {
 		if ev.triggered {
 			return i
@@ -177,11 +135,11 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 	if ev.triggered {
 		return true
 	}
-	timer := p.env.scheduleVia(p, p, p.env.now+d)
+	timer := p.env.schedule(p, p.env.now+d)
 	ev.waiters = append(ev.waiters, waiter{proc: p, timer: timer})
-	p.env.blocked.Add(1)
+	p.env.blocked++
 	p.block()
-	p.env.blocked.Add(-1)
+	p.env.blocked--
 	// Exactly one of the two sources resumed us: a trigger (which canceled
 	// the timer while it was still pending) or the timer pop (which can only
 	// happen while the event is untriggered — a later trigger cannot run

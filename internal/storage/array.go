@@ -19,7 +19,6 @@ import (
 	"maps"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -65,11 +64,10 @@ type Config struct {
 	// journal — group-wide for a sharded journal — or the volume itself when
 	// unjournaled). Within a group, ack order is still total — which is all
 	// consistency-group replication relies on — but GlobalSeq values are not
-	// comparable ACROSS groups in this mode. The fleet experiments enable it
-	// so per-tenant I/O shares no mutable array state with other tenants,
-	// which is what lets sim.RunParallel execute tenants concurrently.
-	// Management-plane paths (ApplyDeltaSet, snapshots) keep using the shared
-	// controller.
+	// comparable ACROSS groups in this mode. It models arrays that serve
+	// each volume from its own queue: the fleet experiments enable it so one
+	// tenant's I/O never queues behind another's. Management-plane paths
+	// (ApplyDeltaSet, snapshots) keep using the shared controller.
 	IsolatedVolumes bool
 }
 
@@ -106,10 +104,9 @@ type Array struct {
 	globalSeq  int64  // global ack counter across all volumes
 	zero       []byte // the one shared, read-only image of an unwritten block
 
-	// Stats. Atomic because isolated-volume writes may execute inside
-	// parallel scheduler rounds (concurrent tenant steps).
-	writeOps, readOps atomic.Int64
-	bytesWritten      atomic.Int64
+	// Operation counters behind WriteOps, ReadOps and BytesWritten.
+	writeOps, readOps int64
+	bytesWritten      int64
 }
 
 // NewArray returns an empty array attached to the simulation environment.
@@ -426,13 +423,13 @@ func (a *Array) Residue(prefix string) []string {
 }
 
 // WriteOps returns the total number of block writes served.
-func (a *Array) WriteOps() int64 { return a.writeOps.Load() }
+func (a *Array) WriteOps() int64 { return a.writeOps }
 
 // ReadOps returns the total number of block reads served.
-func (a *Array) ReadOps() int64 { return a.readOps.Load() }
+func (a *Array) ReadOps() int64 { return a.readOps }
 
 // BytesWritten returns the total bytes written to volumes.
-func (a *Array) BytesWritten() int64 { return a.bytesWritten.Load() }
+func (a *Array) BytesWritten() int64 { return a.bytesWritten }
 
 func (a *Array) String() string {
 	return fmt.Sprintf("Array(%s){vols=%d journals=%d snaps=%d}", a.name, len(a.volumes), len(a.journals), len(a.snapshots))

@@ -129,11 +129,9 @@ func (j *Journal) overflowLocal() {
 	}
 }
 
-// append adds a record in ack order and returns its sequence number. The
-// not-empty wakeup is attributed to the acking process p (when given) so a
-// drain blocked on NotEmpty resumes in the right slot of the (at, seq)
-// order even when the append ran inside a parallel scheduler round.
-func (j *Journal) append(p *sim.Proc, vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
+// append adds a record in ack order and returns its sequence number, waking
+// a drain blocked on NotEmpty.
+func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
 	j.nextSeq++
 	var epoch int64
 	if j.group != nil {
@@ -149,11 +147,7 @@ func (j *Journal) append(p *sim.Proc, vol VolumeID, block int64, data []byte, gl
 		AckedAt:   now,
 	})
 	j.appended++
-	if p != nil {
-		p.Trigger(j.notEmpty)
-	} else {
-		j.notEmpty.Trigger()
-	}
+	j.notEmpty.Trigger()
 	return j.nextSeq
 }
 

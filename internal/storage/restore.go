@@ -39,7 +39,7 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 			v.blocks[b] = orig // immutable: installed by reference
 		}
 		v.writes++
-		a.writeOps.Add(1)
+		a.writeOps++
 	}
 	// The snapshot now matches the parent again; its COW set resets.
 	s.saved = make(map[int64][]byte)

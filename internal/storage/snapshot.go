@@ -138,7 +138,7 @@ func (s *Snapshot) Read(p *sim.Proc, block int64) ([]byte, error) {
 	p.Sleep(a.cfg.ReadLatency)
 	a.controller.Release()
 	s.reads++
-	a.readOps.Add(1)
+	a.readOps++
 	return bytes.Clone(s.block(block)), nil
 }
 
@@ -155,7 +155,7 @@ func (s *Snapshot) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, err
 	p.Sleep(time.Duration(count) * a.cfg.ReadLatency)
 	a.controller.Release()
 	s.reads += int64(count)
-	a.readOps.Add(int64(count))
+	a.readOps += int64(count)
 	out := make([][]byte, count)
 	for i := range out {
 		out[i] = s.block(start + int64(i))

@@ -126,7 +126,7 @@ func (v *Volume) Write(p *sim.Proc, block int64, data []byte) (Ack, error) {
 	v.acquireService(p)
 	p.Sleep(lat)
 	v.releaseService()
-	return v.commit(p, p.Now(), block, data), nil
+	return v.commit(p.Now(), block, data), nil
 }
 
 // acquireService claims the volume's service queue: its own queue in
@@ -160,11 +160,9 @@ func (v *Volume) ackSeq() int64 {
 	return v.localSeq
 }
 
-// commit applies a write without consuming time; Write and the replication
-// apply path share it. The caller has already paid the service time. p is
-// the acking process — journal appends attribute their not-empty trigger to
-// it so the wakeup merges correctly under the parallel scheduler.
-func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte) Ack {
+// commit applies a write without consuming time. The caller has already
+// paid the service time.
+func (v *Volume) commit(now time.Duration, block int64, data []byte) Ack {
 	buf := v.store(block, data)
 	v.countWrite()
 	ack := Ack{
@@ -183,7 +181,7 @@ func (v *Volume) commit(p *sim.Proc, now time.Duration, block int64, data []byte
 			v.journal.overflow()
 			v.noteChange(block) // tracking started just now; cover this write
 		default:
-			ack.GroupSeq = v.journal.append(p, v.id, block, buf, ack.GlobalSeq, now)
+			ack.GroupSeq = v.journal.append(v.id, block, buf, ack.GlobalSeq, now)
 		}
 	}
 	return ack
@@ -213,8 +211,8 @@ func (v *Volume) store(block int64, data []byte) []byte {
 // countWrite charges one block write to the volume and array counters.
 func (v *Volume) countWrite() {
 	v.writes++
-	v.array.writeOps.Add(1)
-	v.array.bytesWritten.Add(int64(v.array.cfg.BlockSize))
+	v.array.writeOps++
+	v.array.bytesWritten += int64(v.array.cfg.BlockSize)
 }
 
 // preserveForSnapshots saves the current block buffer, by reference, into
@@ -248,7 +246,7 @@ func (v *Volume) Read(p *sim.Proc, block int64) ([]byte, error) {
 	p.Sleep(v.array.cfg.ReadLatency)
 	v.releaseService()
 	v.reads++
-	v.array.readOps.Add(1)
+	v.array.readOps++
 	return bytes.Clone(v.block(block)), nil
 }
 
@@ -269,7 +267,7 @@ func (v *Volume) ReadRange(p *sim.Proc, start int64, count int) ([][]byte, error
 	p.Sleep(time.Duration(count) * v.array.cfg.ReadLatency)
 	v.releaseService()
 	v.reads += int64(count)
-	v.array.readOps.Add(int64(count))
+	v.array.readOps += int64(count)
 	out := make([][]byte, count)
 	for i := range out {
 		out[i] = v.block(start + int64(i))

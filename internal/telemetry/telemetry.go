@@ -5,15 +5,15 @@
 //
 // Determinism rules (load-bearing — the golden tests enforce them):
 //
-//   - Instruments may be recorded ONLY from domain-0 steps or from probe
-//     callbacks. Domain-0 steps always run alone (never inside a parallel
-//     round), so recording needs no locks and happens in the identical
-//     total order under the sequential and parallel schedulers.
+//   - Instruments may be recorded ONLY from simulation steps or from probe
+//     callbacks. The kernel runs one step at a time in (at, seq) order, so
+//     recording needs no locks and happens in the identical order on every
+//     replay of a seed.
 //   - Probes are sampled by an Env.OnAdvance observer, which fires on the
 //     scheduler goroutine between instants: it consumes no sequence
 //     numbers and schedules nothing, so enabling telemetry cannot perturb
-//     the (at, seq) kernel trace, and exports are byte-identical under
-//     Env.RunParallel vs the sequential scheduler.
+//     the (at, seq) kernel trace, and exports are byte-identical across
+//     replays.
 //   - A nil *Registry is the disabled plane: every constructor returns a
 //     nil instrument whose methods no-op without allocating, so the
 //     disabled hot path is free.
@@ -323,7 +323,7 @@ type Span struct {
 // StartSpan opens a span at the current virtual time. cat groups spans of
 // one kind (e.g. "epoch", "reshard"); track names the Perfetto row the
 // span renders on (e.g. the tenant namespace). Call End on the returned
-// handle from a later domain-0 step.
+// handle from a later step.
 func (r *Registry) StartSpan(cat, name, track string) Span {
 	if r == nil {
 		return Span{}
