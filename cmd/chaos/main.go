@@ -69,8 +69,8 @@ func repro(seed int64, steps string, plant, shrink bool) int {
 	fmt.Printf("replay: byte-identical (%d log lines)\n", len(res.Log))
 
 	if !res.Failed() {
-		fmt.Printf("seed %d: clean — %d orders, %d checkpoints, %v sim time\n",
-			seed, res.Orders, res.Checks, res.SimTime)
+		fmt.Printf("seed %d: clean — %d orders, %d checkpoints, %d failbacks (%d sharded groups), %v sim time\n",
+			seed, res.Orders, res.Checks, res.Failbacks, res.Sharded, res.SimTime)
 		return 0
 	}
 	fmt.Printf("seed %d: FAILED — repro: %s\n", seed, res.ReproLine())
@@ -111,7 +111,7 @@ func sweep(base int64, n int, steps string, plant, shrink bool, workers int, log
 	wg.Wait()
 
 	var repros strings.Builder
-	failed, orders, checks := 0, int64(0), 0
+	failed, orders, checks, failbacks, sharded := 0, int64(0), 0, 0, 0
 	for _, r := range results {
 		if r.err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: seed %d: %v\n", r.seed, r.err)
@@ -120,6 +120,8 @@ func sweep(base int64, n int, steps string, plant, shrink bool, workers int, log
 		}
 		orders += r.res.Orders
 		checks += r.res.Checks
+		failbacks += r.res.Failbacks
+		sharded += r.res.Sharded
 		if !r.res.Failed() {
 			if verbose {
 				fmt.Printf("seed %d: clean — %d orders, %d checkpoints, %v sim time\n",
@@ -154,8 +156,8 @@ func sweep(base int64, n int, steps string, plant, shrink bool, workers int, log
 		}
 	}
 
-	fmt.Printf("swept %d seeds (%s): %d failed, %d orders, %d checkpoints\n",
-		n, steps, failed, orders, checks)
+	fmt.Printf("swept %d seeds (%s): %d failed, %d orders, %d checkpoints, %d failbacks (%d sharded groups failed back)\n",
+		n, steps, failed, orders, checks, failbacks, sharded)
 	if plant {
 		// Self-test inversion: with -plant every seed must fail.
 		if failed == n {

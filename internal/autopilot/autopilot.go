@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -297,12 +296,8 @@ func (a *Autopilot) reshardStep(p *sim.Proc, now time.Duration, ns string, cls p
 		return // per-volume journals: no shard structure to scale
 	}
 	g := gs[0]
-	if g.FailedOver() || g.Stopped() {
-		return
-	}
-	// A plain 1-lane engine is upgraded live by the reconcile loop, so only
-	// an open migration window on a sharded engine defers the step.
-	if sg, ok := g.(*replication.ShardedGroup); ok && sg.Resharding() {
+	// An open migration window defers the step.
+	if g.FailedOver() || g.Stopped() || g.Resharding() {
 		return
 	}
 	cur := g.Lanes()

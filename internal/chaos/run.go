@@ -14,7 +14,6 @@ import (
 	"repro/internal/invariants"
 	"repro/internal/netlink"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -28,6 +27,8 @@ type Result struct {
 	Log        []string
 	Violations []invariants.Violation
 	Checks     int           // invariant checkpoints executed
+	Failbacks  int           // failback faults that reversed at least one group
+	Sharded    int           // multi-lane groups among the groups failed back
 	Orders     int64         // orders placed across all tenants
 	SimTime    time.Duration // virtual span of the run
 	Err        error         // infrastructure failure (distinct from a violation)
@@ -352,20 +353,15 @@ func (r *runner) failover(p *sim.Proc, f Fault) {
 }
 
 func (r *runner) failback(p *sim.Proc, f Fault) {
-	start := p.Now()
 	fb, err := r.sys.Failback(p)
-	elapsed := p.Now() - start
-	switch {
-	case errors.Is(err, core.ErrShardedFailback):
-		// The typed refusal must be prompt — a registry scan, not a burned
-		// wait timeout. TestChaosFailbackRefusal pins this.
-		r.logf(p, "fault #%02d failback: refused in %v: %v", f.Seq, elapsed, err)
-	case err != nil:
+	if err != nil {
 		r.logf(p, "fault #%02d failback: no-op (%v)", f.Seq, err)
-	default:
-		r.logf(p, "fault #%02d failback: %d reverse groups, resync %v (delta %d / full %d blocks)",
-			f.Seq, len(fb.Reverse), fb.ResyncTime, fb.DeltaBlocks, fb.FullBlocks)
+		return
 	}
+	r.res.Failbacks++
+	r.res.Sharded += fb.Sharded
+	r.logf(p, "fault #%02d failback: %d reverse groups (%d sharded), resync %v (delta %d / full %d blocks)",
+		f.Seq, len(fb.Reverse), fb.Sharded, fb.ResyncTime, fb.DeltaBlocks, fb.FullBlocks)
 }
 
 func (r *runner) join(p *sim.Proc, f Fault) {
@@ -445,52 +441,28 @@ func (r *runner) squeeze(p *sim.Proc, f Fault) {
 		r.logf(p, "fault #%02d squeeze %s: %d engines, skipped", f.Seq, t.ns, len(gs))
 		return
 	}
+	g := gs[0]
+	sj, err := r.sys.Main.Array.ShardedJournal(g.JournalID())
+	if err != nil {
+		r.fail(p, fmt.Errorf("squeeze %s: %w", t.ns, err))
+		return
+	}
 	r.logf(p, "fault #%02d squeeze %s: capacity -> %dB for %v", f.Seq, t.ns, f.Bytes, f.Dur)
-	switch eng := gs[0].(type) {
-	case *replication.ShardedGroup:
-		sj := eng.Journal()
-		sj.SetCapacityPerShard(f.Bytes)
-		p.Sleep(f.Dur)
-		r.stopWorkload(p, t)
-		if sj.Overflowed() {
-			// The group froze: the fail-closed invariant must hold NOW.
-			r.violations(p, invariants.CheckFailClosedSharded(t.ns, r.sys.Main.Array, sj))
-			sj.SetCapacityPerShard(0)
-			r.sys.CatchUp(p, t.ns) // drain what was journaled before the freeze
-			if err := eng.InitialCopy(p, r.sys.Main.Array); err != nil {
-				r.fail(p, fmt.Errorf("squeeze recovery %s: %w", t.ns, err))
-				return
-			}
-			sj.ClearOverflow()
-			r.logf(p, "fault #%02d squeeze %s: overflowed (x%d), recovered by full re-copy", f.Seq, t.ns, sj.Overflows())
-		} else {
-			sj.SetCapacityPerShard(0)
-			r.logf(p, "fault #%02d squeeze %s: backlog stayed under capacity", f.Seq, t.ns)
-		}
-	case *replication.Group:
-		j, err := r.sys.Main.Array.Journal(eng.JournalID())
-		if err != nil {
-			r.fail(p, fmt.Errorf("squeeze %s: %w", t.ns, err))
+	sj.SetCapacityPerShard(f.Bytes)
+	p.Sleep(f.Dur)
+	r.stopWorkload(p, t)
+	if g.Suspended() {
+		// The group froze: the fail-closed invariant must hold NOW.
+		r.violations(p, invariants.CheckFailClosedSharded(t.ns, r.sys.Main.Array, sj))
+		sj.SetCapacityPerShard(0)
+		if err := g.Resync(p, r.sys.Main.Array, 10); err != nil {
+			r.fail(p, fmt.Errorf("squeeze resync %s: %w", t.ns, err))
 			return
 		}
-		j.SetCapacityBytes(f.Bytes)
-		p.Sleep(f.Dur)
-		r.stopWorkload(p, t)
-		if j.Overflowed() {
-			r.violations(p, invariants.CheckFailClosed(t.ns, r.sys.Main.Array, j))
-			j.SetCapacityBytes(0)
-			if err := eng.Resync(p, r.sys.Main.Array, 10); err != nil {
-				r.fail(p, fmt.Errorf("squeeze resync %s: %w", t.ns, err))
-				return
-			}
-			r.logf(p, "fault #%02d squeeze %s: overflowed (x%d), recovered by delta resync", f.Seq, t.ns, j.Overflows())
-		} else {
-			j.SetCapacityBytes(0)
-			r.logf(p, "fault #%02d squeeze %s: backlog stayed under capacity", f.Seq, t.ns)
-		}
-	default:
-		r.logf(p, "fault #%02d squeeze %s: unknown engine type, skipped", f.Seq, t.ns)
-		return
+		r.logf(p, "fault #%02d squeeze %s: overflowed (x%d), recovered by delta resync", f.Seq, t.ns, sj.Overflows())
+	} else {
+		sj.SetCapacityPerShard(0)
+		r.logf(p, "fault #%02d squeeze %s: backlog stayed under capacity", f.Seq, t.ns)
 	}
 	// Recovery must be lossless: the workload was quiesced, capacity is
 	// restored, so after a catch-up the backup holds every commit.
@@ -594,7 +566,7 @@ func (emptySet) HasCommitted(uint64) bool { return false }
 func (emptySet) CommittedTxns() []uint64  { return nil }
 
 // checkpoint asserts every invariant that must hold at a recovery point:
-// per-tenant fail-closed journal state, epoch boundaries, an any-instant
+// per-tenant fail-closed journal state, commit boundaries, an any-instant
 // consistent cut on every live tenant's backup, zero residue for everyone
 // who left, no orphan replication engines, and untouched shared zero
 // blocks on both arrays.
@@ -606,15 +578,13 @@ func (r *runner) checkpoint(p *sim.Proc, label string) {
 			continue
 		}
 		for _, g := range r.sys.Groups(t.ns) {
-			switch eng := g.(type) {
-			case *replication.ShardedGroup:
-				r.violations(p, invariants.CheckEpochBoundary(t.ns, eng))
-				r.violations(p, invariants.CheckFailClosedSharded(t.ns, r.sys.Main.Array, eng.Journal()))
-			case *replication.Group:
-				if j, err := r.sys.Main.Array.Journal(eng.JournalID()); err == nil {
-					r.violations(p, invariants.CheckFailClosed(t.ns, r.sys.Main.Array, j))
-				}
+			r.violations(p, invariants.CheckCommitBoundary(t.ns, g))
+			sj, err := r.sys.Main.Array.ShardedJournal(g.JournalID())
+			if err != nil {
+				r.fail(p, fmt.Errorf("checkpoint %q %s: %w", label, t.ns, err))
+				return
 			}
+			r.violations(p, invariants.CheckFailClosedSharded(t.ns, r.sys.Main.Array, sj))
 		}
 		rep, err := r.verifyTenant(p, t, fmt.Sprintf("chk%03d", r.res.Checks))
 		if err != nil {

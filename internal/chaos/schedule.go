@@ -33,9 +33,10 @@ const (
 	// (no catch-up first: whatever is in flight is lost) and verifies the
 	// recovered image is a consistent cut.
 	FaultFailover
-	// FaultFailback attempts core.Failback for every failed-over group.
-	// Against a sharded tenant this must refuse promptly with the typed
-	// core.ErrShardedFailback, not burn a wait timeout.
+	// FaultFailback runs core.Failback: every failed-over group not yet
+	// reversed — one lane or many — is delta-resynced to the main site and
+	// replicated back by a one-lane reverse group. With nothing new to
+	// reverse it is a logged no-op.
 	FaultFailback
 	// FaultJoin provisions a new tenant (its plan is already in
 	// Schedule.Tenants) and starts its workload under everyone else's load.

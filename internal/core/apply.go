@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/operator"
 	"repro/internal/platform"
-	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
@@ -195,14 +194,8 @@ func (sys *System) waitResharded(p *sim.Proc, namespace string, shards int, time
 			}
 			return err
 		}
-		if gs := sys.Groups(namespace); len(gs) == 1 {
-			g := gs[0]
-			if g.Lanes() == shards {
-				sg, sharded := g.(*replication.ShardedGroup)
-				if !sharded || !sg.Resharding() {
-					return nil
-				}
-			}
+		if gs := sys.Groups(namespace); len(gs) == 1 && gs[0].Lanes() == shards && !gs[0].Resharding() {
+			return nil
 		}
 		if p.Now() >= deadline {
 			return fmt.Errorf("%w: tenant %s not resharded to %d lanes", ErrTimeout, namespace, shards)

@@ -168,7 +168,9 @@ type System struct {
 
 	// reverse holds the backup→main groups Failback started; they live
 	// outside the replication plugin's registry, so Stop tracks them here.
-	reverse []*replication.Group
+	// failedBack marks the forward groups they reversed.
+	reverse    []*replication.ShardedGroup
+	failedBack map[replication.Replicator]bool
 }
 
 // NewSystem builds and starts the demonstration system. The returned
@@ -196,6 +198,7 @@ func NewSystem(cfg Config) *System {
 		managedTenants:    make(map[string]bool),
 		tenantClass:       make(map[string]string),
 		tenantLaneClasses: make(map[string][]string),
+		failedBack:        make(map[replication.Replicator]bool),
 		sloClasses:        make(map[string]platform.SLOClass, len(cfg.SLOClasses)),
 		placement:         cfg.Placement,
 	}

@@ -1,17 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/consistency"
+	"repro/internal/csiplugin"
 	"repro/internal/platform"
 	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
 // TestReshardTenantEndToEnd drives the full reshard chain from the Tenant
-// spec: 1 -> 4 upgrades the paper's plain engine to a four-lane sharded one
+// spec: 1 -> 4 widens the paper's one-lane group in place to four lanes
 // while OLTP commits keep flowing, 4 -> 2 shrinks it live, and the tenant's
 // backup image stays a consistent cut throughout (verified by snapshot
 // analytics after each transition).
@@ -24,8 +27,9 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			t.Errorf("provision: %v", err)
 			return
 		}
-		if _, ok := sys.Groups("shop")[0].(*replication.Group); !ok {
-			t.Errorf("shards=1 engine is %T, want the plain engine", sys.Groups("shop")[0])
+		sg := sys.Groups("shop")[0].(*replication.ShardedGroup)
+		if sg.Lanes() != 1 {
+			t.Errorf("shards=1 engine has %d lanes", sg.Lanes())
 			return
 		}
 		if err := bp.Shop.Run(p, 6); err != nil {
@@ -37,9 +41,8 @@ func TestReshardTenantEndToEnd(t *testing.T) {
 			t.Errorf("reshard 1->4: %v", err)
 			return
 		}
-		sg, ok := sys.Groups("shop")[0].(*replication.ShardedGroup)
-		if !ok || sg.Lanes() != 4 || sg.Resharding() {
-			t.Errorf("after 1->4: %T lanes=%d resharding=%v", sys.Groups("shop")[0], sg.Lanes(), sg.Resharding())
+		if g := sys.Groups("shop")[0]; g != sg || sg.Lanes() != 4 || sg.Resharding() {
+			t.Errorf("after 1->4: same engine %v lanes=%d resharding=%v", g == sg, sg.Lanes(), sg.Resharding())
 			return
 		}
 		if err := bp.Shop.Run(p, 6); err != nil {
@@ -107,13 +110,14 @@ func TestReshardTenantUnchangedSpecIsZeroMigration(t *testing.T) {
 	})
 }
 
-// TestFailbackShardedSentinel is the satellite regression: Failback on a
-// system whose failed-over group is sharded must refuse with the typed
-// sentinel BEFORE touching anything — the failed-over plain group is not
-// resynced, and an unrelated sharded tenant keeps draining healthily.
-func TestFailbackShardedSentinel(t *testing.T) {
-	runSystem(t, Config{JournalShards: 2}, func(p *sim.Proc, sys *System) {
-		// Tenant A: sharded, failed over. Tenant B: sharded, still draining.
+// TestFailbackShardedTenant fails a four-shard tenant over and back: the
+// delta resync copies less than a full copy, a running one-lane reverse
+// group carries backup-site production to the main site, the restored main
+// site holds exactly the backup's image (a verified consistent cut holding
+// every order, plus the backup-era history), and an unrelated sharded
+// tenant keeps draining throughout.
+func TestFailbackShardedTenant(t *testing.T) {
+	runSystem(t, Config{JournalShards: 4}, func(p *sim.Proc, sys *System) {
 		bpA, err := sys.ProvisionTenant(p, tenantSpec("alpha"))
 		if err != nil {
 			t.Errorf("provision alpha: %v", err)
@@ -124,43 +128,90 @@ func TestFailbackShardedSentinel(t *testing.T) {
 			t.Errorf("provision beta: %v", err)
 			return
 		}
-		if err := bpA.Shop.Run(p, 4); err != nil {
+		if err := bpA.Shop.Run(p, 12); err != nil {
 			t.Error(err)
 			return
 		}
-		if _, err := sys.Failover(p, "alpha"); err != nil {
+		sys.CatchUp(p, "alpha")
+		if lanes := sys.Groups("alpha")[0].Lanes(); lanes != 4 {
+			t.Errorf("alpha drains on %d lanes, want 4", lanes)
+			return
+		}
+		fo, err := sys.Failover(p, "alpha")
+		if err != nil {
 			t.Errorf("failover: %v", err)
 			return
 		}
-
-		_, err = sys.Failback(p)
-		if !errors.Is(err, ErrShardedFailback) {
-			t.Errorf("Failback error = %v, want ErrShardedFailback", err)
+		rep := consistency.Verify(fo.Sales, fo.Stock, bpA.Shop.SalesCommitOrder(), bpA.Shop.StockCommitOrder())
+		if rep.Collapsed() || !rep.OrderingOK() || rep.LostSalesTxns+rep.LostStockTxns != 0 {
+			t.Errorf("failover image: %+v", rep)
+		}
+		tx := fo.Sales.BeginWithID(5000)
+		tx.Put(5000, []byte("backup-era order"))
+		if err := tx.Commit(p); err != nil {
+			t.Errorf("backup-era commit: %v", err)
 			return
 		}
-		// The refusal left the world untouched: no reverse groups started,
-		// alpha's journal attachments intact (failback would have dropped
-		// them), and beta still drains new commits to a consistent backup.
-		if len(sys.reverse) != 0 {
-			t.Errorf("%d reverse groups started despite refusal", len(sys.reverse))
+
+		fb, err := sys.Failback(p)
+		if err != nil {
+			t.Errorf("failback: %v", err)
+			return
 		}
-		if sj, err := sys.Main.Array.ShardedJournal("jnl-backup-alpha-0"); err != nil {
-			t.Errorf("alpha journal gone after refused failback: %v", err)
-		} else if len(sj.Members()) != 2 {
-			t.Errorf("alpha journal members = %d, want 2", len(sj.Members()))
+		if len(fb.Reverse) != 1 || fb.Sharded != 1 {
+			t.Errorf("failback reversed %d groups (%d sharded), want 1 (1)", len(fb.Reverse), fb.Sharded)
+			return
 		}
+		rev := fb.Reverse[0]
+		if rev.Stopped() || rev.FailedOver() || rev.Lanes() != 1 {
+			t.Errorf("reverse group not running on one lane: stopped=%v failedover=%v lanes=%d",
+				rev.Stopped(), rev.FailedOver(), rev.Lanes())
+		}
+		if fb.DeltaBlocks == 0 || fb.DeltaBlocks >= fb.FullBlocks {
+			t.Errorf("delta resync implausible: %d of %d", fb.DeltaBlocks, fb.FullBlocks)
+		}
+		if _, err := sys.Failback(p); err == nil {
+			t.Error("a second failback reversed the same group again")
+		}
+		tx2 := fo.Sales.BeginWithID(5001)
+		tx2.Put(5001, []byte("post-failback order"))
+		if err := tx2.Commit(p); err != nil {
+			t.Errorf("post-failback commit: %v", err)
+			return
+		}
+		rev.CatchUp(p)
+		rev.Stop()
+
+		// The restored main site holds exactly the backup's image — the
+		// consistent failover cut plus the backup-era history.
+		for _, claim := range []string{"sales", "stock"} {
+			id := csiplugin.VolumeIDForClaim("alpha", claim)
+			mv, _ := sys.Main.Array.Volume(id)
+			bv, _ := sys.Backup.Array.Volume(id)
+			for _, b := range append(mv.WrittenBlocks(), bv.WrittenBlocks()...) {
+				if !bytes.Equal(mv.Peek(b), bv.Peek(b)) {
+					t.Errorf("%s block %d differs between the restored main site and the backup", claim, b)
+					return
+				}
+			}
+		}
+		mainSales, _ := sys.Main.Array.Volume(csiplugin.VolumeIDForClaim("alpha", "sales"))
+		mainSales.SetReadOnly(false)
+		recovered, err := openDBForTest(p, mainSales)
+		if err != nil {
+			t.Errorf("recover main: %v", err)
+			return
+		}
+		if !recovered.HasCommitted(5000) || !recovered.HasCommitted(5001) {
+			t.Error("backup-era history missing at restored main site")
+		}
+
 		if err := bpB.Shop.Run(p, 4); err != nil {
 			t.Error(err)
 			return
 		}
 		if !sys.CatchUp(p, "beta") {
-			t.Error("beta no longer drains after refused failback")
-		}
-		if g := sys.Groups("beta")[0]; g.Stopped() || g.Backlog() != 0 {
-			t.Errorf("beta group unhealthy: stopped=%v backlog=%d", g.Stopped(), g.Backlog())
-		}
-		if _, err := sys.SnapshotBackup(p, "beta", "post-refusal"); err != nil {
-			t.Errorf("beta snapshot after refusal: %v", err)
+			t.Error("beta no longer drains after alpha's failback")
 		}
 	})
 }

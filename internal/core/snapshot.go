@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -97,18 +96,14 @@ type FailoverResult struct {
 	RecoveryTime time.Duration
 }
 
-// ErrShardedFailback reports a Failback attempt that found a failed-over
-// sharded group. Sharded failback is an open design problem (the delta
-// resync needs a per-shard REVERSE group layout — see DESIGN.md "Dynamic
-// resharding"); until it exists, Failback refuses before touching anything,
-// so every group — failed-over or still draining — is left exactly as it
-// was.
-var ErrShardedFailback = errors.New("core: failback of a sharded group is not supported")
-
 // FailbackResult reports a completed failback resynchronization.
 type FailbackResult struct {
-	// Reverse holds the running backup→main replication groups.
-	Reverse []*replication.Group
+	// Reverse holds the running backup→main replication groups, one lane
+	// each.
+	Reverse []*replication.ShardedGroup
+	// Sharded counts the failed-back groups that drained on more than one
+	// lane.
+	Sharded int
 	// DeltaBlocks and FullBlocks aggregate the resync saving across groups.
 	DeltaBlocks, FullBlocks int
 	// ResyncTime is the simulated time the delta copy took.
@@ -117,32 +112,25 @@ type FailbackResult struct {
 
 // Failback resynchronizes the main site from the failed-over backup and
 // starts reverse replication, using each group's delta bitmap. Call after
-// Failover once the main site is reachable again.
+// Failover once the main site is reachable again. Groups an earlier
+// Failback already reversed are skipped.
 func (sys *System) Failback(p *sim.Proc) (*FailbackResult, error) {
 	var res FailbackResult
 	start := p.Now()
-	// Refuse before touching anything: sharded failback is an open
-	// follow-up (see ROADMAP), and discovering that mid-loop would leave
-	// earlier groups resynced with reverse replication already running.
-	var failedOver []*replication.Group
 	for _, g := range sys.Replication.AllGroups() {
-		if !g.FailedOver() {
+		if !g.FailedOver() || sys.failedBack[g] {
 			continue
 		}
-		ag, ok := g.(*replication.Group)
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrShardedFailback, g.Name())
-		}
-		failedOver = append(failedOver, ag)
-	}
-	for _, ag := range failedOver {
-		reverse, stats, err := replication.Failback(p, ag, sys.Main.Array,
-			sys.ReversePathFor(sys.Replication.NamespaceOf(ag)), sys.Cfg.Replication)
+		reverse, stats, err := g.Failback(p, sys.Main.Array, sys.ReversePathFor(sys.Replication.NamespaceOf(g)))
 		if err != nil {
 			return nil, err
 		}
+		sys.failedBack[g] = true
 		res.Reverse = append(res.Reverse, reverse)
 		sys.reverse = append(sys.reverse, reverse)
+		if g.Lanes() > 1 {
+			res.Sharded++
+		}
 		res.DeltaBlocks += stats.DeltaBlocks
 		res.FullBlocks += stats.TotalBlocks
 	}

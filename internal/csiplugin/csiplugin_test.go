@@ -1,7 +1,6 @@
 package csiplugin
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -153,7 +152,7 @@ func TestReplicationPluginConfiguresCG(t *testing.T) {
 			t.Errorf("journals = %q %v", rg.Status.JournalID, rg.Status.JournalIDs)
 		}
 		// One shared journal with both volumes: the consistency group.
-		j, err := f.sites.MainArray.Journal(rg.Status.JournalID)
+		j, err := f.sites.MainArray.ShardedJournal(rg.Status.JournalID)
 		if err != nil {
 			t.Error(err)
 			return
@@ -250,7 +249,7 @@ func TestReplicationPluginTeardownOnDelete(t *testing.T) {
 	if len(rp.Groups("backup-shop")) != 0 {
 		t.Fatal("groups survive CR deletion")
 	}
-	if _, err := f.sites.MainArray.Journal(journalID); err == nil {
+	if _, err := f.sites.MainArray.ShardedJournal(journalID); err == nil {
 		t.Fatal("journal survives CR deletion")
 	}
 	// Source volume is usable again (journal detached).
@@ -465,8 +464,8 @@ func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 	}
 	// Attach the stock volume to a journal: its unwind must stall (retry)
 	// until the journal releases it.
-	if _, err := f.sites.MainArray.CreateConsistencyGroup("jnl-hold",
-		[]storage.VolumeID{VolumeIDForClaim("shop", "stock")}); err != nil {
+	if _, err := f.sites.MainArray.CreateShardedConsistencyGroup("jnl-hold",
+		[]storage.VolumeID{VolumeIDForClaim("shop", "stock")}, 1); err != nil {
 		t.Fatal(err)
 	}
 	f.env.Process("delete", func(p *sim.Proc) {
@@ -484,10 +483,7 @@ func TestProvisionerUnwindsDeletedClaim(t *testing.T) {
 		t.Fatal("attached stock volume deleted while journaled")
 	}
 	// Release the journal: the provisioner's backoff retry finishes the job.
-	if err := f.sites.MainArray.DetachJournal(VolumeIDForClaim("shop", "stock")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.sites.MainArray.DeleteJournal("jnl-hold"); err != nil {
+	if err := f.sites.MainArray.DeleteShardedJournal("jnl-hold"); err != nil {
 		t.Fatal(err)
 	}
 	f.env.Run(f.env.Now() + 5*time.Second)
@@ -582,28 +578,26 @@ func TestReplicationPluginReshardsOnSpecChange(t *testing.T) {
 	if before.Lanes() != 2 {
 		t.Fatalf("lanes after shrink = %d, want 2", before.Lanes())
 	}
-	for _, k := range []int{2, 3} {
-		if _, err := f.sites.MainArray.Journal(fmt.Sprintf("jnl-backup-shop-0#s%d", k)); err == nil {
-			t.Fatalf("retired shard journal #s%d survives the shrink", k)
-		}
+	if u := f.sites.MainArray.Usage(); u.Journals != 2 {
+		t.Fatalf("%d shard journals after the shrink, want the 2 survivors", u.Journals)
 	}
 }
 
 // TestReplicationPluginUpgradesPlainEngine reshards a group that started on
-// the paper's plain single-journal path (shards=1): the plugin must hand
-// the journal off losslessly to a sharded engine and widen it, with writes
-// from before and after the upgrade all reaching the backup.
+// the paper's plain one-journal configuration (shards=1): the plugin must
+// widen the same engine in place, losslessly, with writes from before and
+// after the reshard all reaching the backup.
 func TestReplicationPluginUpgradesPlainEngine(t *testing.T) {
 	f := newTwoSites(t)
 	pvcs := []string{"d0", "d1", "d2", "d3"}
 	f.createClaims(t, "shop", pvcs...)
 	rp := f.createShardedRG(t, "backup-shop", 1, pvcs...)
-	old, ok := rp.Groups("backup-shop")[0].(*replication.Group)
-	if !ok {
-		t.Fatalf("shards=1 engine is %T, want the plain *replication.Group", rp.Groups("backup-shop")[0])
+	sg := rp.Groups("backup-shop")[0].(*replication.ShardedGroup)
+	if sg.Lanes() != 1 {
+		t.Fatalf("shards=1 engine has %d lanes", sg.Lanes())
 	}
 
-	// Backlog some writes so the handoff happens with records pending.
+	// Backlog some writes so the reshard happens with records pending.
 	f.env.Process("pre-writes", func(p *sim.Proc) {
 		buf := make([]byte, f.sites.MainArray.Config().BlockSize)
 		for i, name := range pvcs {
@@ -617,18 +611,14 @@ func TestReplicationPluginUpgradesPlainEngine(t *testing.T) {
 	f.env.Run(0)
 
 	f.setRGShards(t, "backup-shop", 4)
-	sg, ok := rp.Groups("backup-shop")[0].(*replication.ShardedGroup)
-	if !ok {
-		t.Fatalf("engine after upgrade is %T, want *replication.ShardedGroup", rp.Groups("backup-shop")[0])
+	if got := rp.Groups("backup-shop")[0]; got != sg {
+		t.Fatalf("reshard replaced the engine: %v -> %v", sg, got)
 	}
 	if sg.Lanes() != 4 {
 		t.Fatalf("lanes = %d, want 4", sg.Lanes())
 	}
-	if !old.Detached() {
-		t.Fatal("plain engine was not detached (records may have been dropped as lost)")
-	}
 	if rp.NamespaceOf(sg) != "shop" {
-		t.Fatal("namespace mapping lost across the engine swap")
+		t.Fatal("namespace mapping lost across the reshard")
 	}
 	f.env.Process("post-writes", func(p *sim.Proc) {
 		buf := make([]byte, f.sites.MainArray.Config().BlockSize)
@@ -639,22 +629,25 @@ func TestReplicationPluginUpgradesPlainEngine(t *testing.T) {
 			return
 		}
 		if !sg.AwaitReshard(p) || !sg.CatchUp(p) {
-			t.Error("upgraded engine never caught up")
+			t.Error("resharded engine never caught up")
 		}
 	})
 	f.env.Run(0)
+	if len(sg.UnappliedRecords()) != 0 {
+		t.Fatalf("%d records never applied", len(sg.UnappliedRecords()))
+	}
 	for i, name := range pvcs {
 		tv, _ := f.sites.BackupArray.Volume(VolumeIDForClaim("shop", name))
 		if got := tv.Peek(int64(i)); got[0] != byte(0x10+i) {
-			t.Fatalf("pre-upgrade write to %s lost: %x", name, got[0])
+			t.Fatalf("pre-reshard write to %s lost: %x", name, got[0])
 		}
 	}
 	tv, _ := f.sites.BackupArray.Volume(VolumeIDForClaim("shop", "d0"))
 	if got := tv.Peek(17); got[0] != 0x99 {
-		t.Fatalf("post-upgrade write lost: %x", got[0])
+		t.Fatalf("post-reshard write lost: %x", got[0])
 	}
 
-	// Teardown after the upgrade reclaims the converted journal too.
+	// Teardown after the reshard reclaims every shard journal.
 	f.env.Process("delete", func(p *sim.Proc) {
 		f.sites.MainAPI.Delete(p, platform.ObjectKey{Kind: platform.KindReplicationGroup, Name: "backup-shop"})
 	})

@@ -25,9 +25,10 @@ type SitePair struct {
 	Path    fabric.Path
 	PathFor func(namespace string) fabric.Path
 	// LanePathFor, when set, hands each drain lane of a namespace's
-	// sharded group its own path (lane k drains journal shard k). Without
+	// multi-lane group its own path (lane k drains journal shard k). Without
 	// it every lane shares the namespace path, which serializes transfers
-	// and forfeits most of the sharding win.
+	// and forfeits most of the sharding win. A one-lane group drains over
+	// the namespace path.
 	LanePathFor func(namespace string, lane int) fabric.Path
 	// Telemetry, when set, has every created engine register its RPO and
 	// lane probes under the source namespace, and instruments the plugin's
@@ -44,12 +45,32 @@ func (s SitePair) pathFor(namespace string) fabric.Path {
 }
 
 // pathForLane resolves the transfer path for one drain lane of a
-// namespace's sharded group.
+// namespace's group.
 func (s SitePair) pathForLane(namespace string, lane int) fabric.Path {
 	if s.LanePathFor != nil {
 		return s.LanePathFor(namespace, lane)
 	}
 	return s.pathFor(namespace)
+}
+
+// lanePaths resolves one transfer path per drain lane (lane k drains
+// journal shard k).
+func (s SitePair) lanePaths(namespace string, lanes int) []fabric.Path {
+	paths := make([]fabric.Path, lanes)
+	for k := range paths {
+		paths[k] = s.pathForLane(namespace, k)
+	}
+	return paths
+}
+
+// groupPaths resolves a new group's drain paths: a one-lane group drains
+// over the namespace path, a multi-lane group over per-lane paths. A later
+// reshard hands every lane its lane path, lane 0 included.
+func (s SitePair) groupPaths(namespace string, lanes int) []fabric.Path {
+	if lanes == 1 {
+		return []fabric.Path{s.pathFor(namespace)}
+	}
+	return s.lanePaths(namespace, lanes)
 }
 
 // ReplicationPlugin reconciles ReplicationGroup custom resources on the
@@ -63,9 +84,8 @@ type ReplicationPlugin struct {
 	ctrl  *platform.Controller
 
 	// groups tracks the running replication engines per CR name. With
-	// ConsistencyGroup=true there is exactly one (a Group, or a
-	// ShardedGroup when the spec shards the journal); otherwise one Group
-	// per volume.
+	// ConsistencyGroup=true there is exactly one; otherwise one one-lane
+	// group per volume.
 	groups map[string][]replication.Replicator
 	// nsByGroup remembers which namespace each group replicates, so
 	// site-wide operations (failback) can pick that tenant's fabric path.
@@ -196,58 +216,20 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 		return err
 	}
 
-	var created []replication.Replicator
-	var journalIDs []string
-
-	// Sharded layout: one consistency group whose journal is split across
-	// JournalShards shards, drained by a multi-lane engine with one fabric
-	// path per lane. Single-shard groups keep the plain path below so the
-	// paper's configuration stays byte-for-byte unchanged.
-	if rg.Spec.ConsistencyGroup && rg.Spec.JournalShards > 1 {
-		journalID := fmt.Sprintf("jnl-%s-0", rg.Name)
-		vols := make([]storage.VolumeID, len(members))
-		mapping := make(map[storage.VolumeID]storage.VolumeID, len(members))
-		for i, m := range members {
-			vols[i] = m.volID
-			mapping[m.volID] = m.volID
-		}
-		sj, err := rp.sites.MainArray.CreateShardedConsistencyGroup(journalID, vols, rg.Spec.JournalShards)
-		if errors.Is(err, storage.ErrJournalExists) {
-			sj, err = rp.sites.MainArray.ShardedJournal(journalID)
-		}
-		if err != nil {
-			return err
-		}
-		paths := make([]fabric.Path, sj.ShardCount())
-		for k := range paths {
-			paths[k] = rp.sites.pathForLane(rg.Spec.SourceNamespace, k)
-		}
-		g, err := replication.NewShardedGroup(rp.env, fmt.Sprintf("%s-0", rg.Name), sj,
-			rp.sites.BackupArray, mapping, paths, rp.cfg)
-		if err != nil {
-			return err
-		}
-		if err := g.InitialCopy(p, rp.sites.MainArray); err != nil {
-			return err
-		}
-		g.Instrument(rp.sites.Telemetry, rg.Spec.SourceNamespace)
-		g.Start()
-		created = append(created, g)
-		rp.nsByGroup[g] = rg.Spec.SourceNamespace
-		journalIDs = append(journalIDs, journalID)
-		return rp.finishReady(p, key, rg, created, journalIDs)
-	}
-
-	// Journal layout: one shared journal (consistency group) or one per
-	// volume (the collapse-prone configuration E6 measures).
-	var journalSets [][]member
-	if rg.Spec.ConsistencyGroup {
-		journalSets = [][]member{members}
-	} else {
+	// Journal layout: one consistency group whose journal is split across
+	// max(1, JournalShards) shards, or one one-shard group per volume (the
+	// collapse-prone configuration E6 measures).
+	shards := max(1, rg.Spec.JournalShards)
+	journalSets := [][]member{members}
+	if !rg.Spec.ConsistencyGroup {
+		shards = 1
+		journalSets = nil
 		for _, m := range members {
 			journalSets = append(journalSets, []member{m})
 		}
 	}
+	var created []replication.Replicator
+	var journalIDs []string
 	for i, set := range journalSets {
 		journalID := fmt.Sprintf("jnl-%s-%d", rg.Name, i)
 		vols := make([]storage.VolumeID, len(set))
@@ -256,18 +238,15 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 			vols[j] = m.volID
 			mapping[m.volID] = m.volID
 		}
-		journal, err := rp.sites.MainArray.CreateConsistencyGroup(journalID, vols)
-		if err != nil && !errors.Is(err, storage.ErrJournalExists) {
+		sj, err := rp.sites.MainArray.CreateShardedConsistencyGroup(journalID, vols, shards)
+		if errors.Is(err, storage.ErrJournalExists) {
+			sj, err = rp.sites.MainArray.ShardedJournal(journalID)
+		}
+		if err != nil {
 			return err
 		}
-		if journal == nil {
-			journal, err = rp.sites.MainArray.Journal(journalID)
-			if err != nil {
-				return err
-			}
-		}
-		g, err := replication.NewGroup(rp.env, fmt.Sprintf("%s-%d", rg.Name, i), journal,
-			rp.sites.BackupArray, mapping, rp.sites.pathFor(rg.Spec.SourceNamespace), rp.cfg)
+		g, err := replication.NewShardedGroup(rp.env, fmt.Sprintf("%s-%d", rg.Name, i), sj,
+			rp.sites.BackupArray, mapping, rp.sites.groupPaths(rg.Spec.SourceNamespace, sj.ShardCount()), rp.cfg)
 		if err != nil {
 			return err
 		}
@@ -289,14 +268,10 @@ func (rp *ReplicationPlugin) reconcile(p *sim.Proc, key platform.ObjectKey) erro
 }
 
 // maybeReshard diffs the CR's declared shard count against the running
-// engine's lane count and, when they differ, drives the live reshard: a
-// sharded engine reconfigures its lane set in place (epoch-barrier
-// migration, untouched lanes keep draining); the paper's plain single-lane
-// engine is upgraded through a planned handoff — Detach at a batch boundary
-// (no records lost), the journal converted in place to a one-shard group,
-// and a sharded engine adopting the backlog before widening. The reconcile
-// does not wait for the migration window to settle — the engine drains it
-// in the background and callers observe Resharding()/Lanes().
+// engine's lane count and, when they differ, reshards the engine in place:
+// an epoch-barrier migration in which untouched lanes keep draining. The
+// reconcile does not wait for the migration window to settle — the engine
+// drains it in the background and callers observe Resharding()/Lanes().
 func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationGroup) error {
 	if !rg.Spec.ConsistencyGroup {
 		return nil // per-volume journals have no shard structure to reshape
@@ -306,52 +281,13 @@ func (rp *ReplicationPlugin) maybeReshard(p *sim.Proc, rg *platform.ReplicationG
 		return nil
 	}
 	cur := groups[0]
-	want := rg.Spec.JournalShards
-	if want < 1 {
-		want = 1
-	}
+	want := max(1, rg.Spec.JournalShards)
 	if cur.Lanes() == want || cur.Stopped() || cur.FailedOver() {
 		return nil
 	}
-	ns := rg.Spec.SourceNamespace
 	from := cur.Lanes()
-	paths := make([]fabric.Path, want)
-	for k := range paths {
-		paths[k] = rp.sites.pathForLane(ns, k)
-	}
-	if _, err := cur.Reshard(p, paths); err != nil {
-		if !errors.Is(err, replication.ErrReshardUnsupported) {
-			return err
-		}
-		old := cur.(*replication.Group)
-		if err := old.Detach(p); err != nil {
-			return err
-		}
-		sj, err := rp.sites.MainArray.ConvertToSharded(old.JournalID())
-		if errors.Is(err, storage.ErrJournalExists) {
-			// A previous attempt converted but failed later; adopt it.
-			sj, err = rp.sites.MainArray.ShardedJournal(old.JournalID())
-		}
-		if err != nil {
-			return err
-		}
-		sg, err := replication.NewShardedGroup(rp.env, old.Name(), sj, rp.sites.BackupArray,
-			old.Mapping(), paths[:sj.ShardCount()], rp.cfg)
-		if err != nil {
-			return err
-		}
-		// The upgrade rebinds the tenant's probes from the detached plain
-		// engine to its successor: one continuous timeline across the swap.
-		sg.Instrument(rp.sites.Telemetry, ns)
-		sg.Start()
-		rp.groups[rg.Name] = []replication.Replicator{sg}
-		delete(rp.nsByGroup, old)
-		rp.nsByGroup[sg] = ns
-		if sg.Lanes() != want {
-			if _, err := sg.Reshard(p, paths); err != nil {
-				return err
-			}
-		}
+	if _, err := cur.Reshard(p, rp.sites.lanePaths(rg.Spec.SourceNamespace, want)); err != nil {
+		return err
 	}
 	return rp.setPhase(p, rg, platform.GroupReady,
 		fmt.Sprintf("replication running (resharded %d -> %d lanes)", from, want))
@@ -377,7 +313,8 @@ func (rp *ReplicationPlugin) finishReady(p *sim.Proc, key platform.ObjectKey, rg
 	return rp.sites.MainAPI.Update(p, rg)
 }
 
-// teardown stops and forgets the groups configured for a deleted CR.
+// teardown stops and forgets the groups configured for a deleted CR and
+// deletes their journals, which detaches every member volume.
 func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
 	groups := rp.groups[name]
 	if groups == nil {
@@ -386,17 +323,8 @@ func (rp *ReplicationPlugin) teardown(p *sim.Proc, name string) error {
 	for _, g := range groups {
 		g.Stop()
 		delete(rp.nsByGroup, g)
-		for src := range g.Mapping() {
-			if err := rp.sites.MainArray.DetachJournal(src); err != nil {
-				return err
-			}
-		}
-		id := g.JournalID()
-		if _, err := rp.sites.MainArray.ShardedJournal(id); err == nil {
-			if err := rp.sites.MainArray.DeleteShardedJournal(id); err != nil {
-				return err
-			}
-		} else if err := rp.sites.MainArray.DeleteJournal(id); err != nil && !errors.Is(err, storage.ErrNoSuchJournal) {
+		// A failback already discarded the journal of a failed-over group.
+		if err := rp.sites.MainArray.DeleteShardedJournal(g.JournalID()); err != nil && !errors.Is(err, storage.ErrNoSuchJournal) {
 			return err
 		}
 	}

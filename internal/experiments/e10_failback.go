@@ -6,12 +6,12 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/netlink"
-	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
 // FailbackResult is one row of experiment E10.
 type FailbackResult struct {
+	Shards       int // journal shards of the failed-over group
 	OutageOrders int // orders processed at the backup during the outage
 	DeltaBlocks  int
 	FullBlocks   int // what a full resync would copy
@@ -25,108 +25,131 @@ type FailbackResult struct {
 // backup using the delta bitmap (changed-at-backup plus stranded-at-main
 // blocks). The sweep grows the outage length — more production at the
 // backup means a bigger delta — and compares against the full-copy
-// baseline a bitmap-less resync would need.
+// baseline a bitmap-less resync would need. A last row repeats the longest
+// outage with the journal split across four shards: a sharded group fails
+// back the same way, into a one-lane reverse group.
 //
 // Expected shape: delta blocks grow with outage length but stay well under
-// the full copy; resync time scales with the delta, not the dataset.
+// the full copy at one and at four shards; resync time scales with the
+// delta, not the dataset.
 func E10Failback(seed int64, outageOrders []int) ([]FailbackResult, error) {
 	var out []FailbackResult
 	for i, n := range outageOrders {
-		r, err := newRig(rigParams{
-			seed: seed + int64(i),
-			mode: ModeADC,
-			link: netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 1e8},
-		})
+		res, err := e10Run(seed+int64(i), n, 1)
 		if err != nil {
-			return nil, fmt.Errorf("E10 outage=%d: %w", n, err)
-		}
-		// Steady state before the disaster: order history plus a bulk
-		// dataset (the databases' cold data), all fully replicated. This
-		// is what a bitmap-less full resync would recopy.
-		if _, err := r.runOrders(400); err != nil {
 			return nil, err
 		}
-		r.env.Process("bulk-load", func(p *sim.Proc) {
-			sv, _ := r.main.Volume("sales")
-			kv, _ := r.main.Volume("stock")
-			buf := make([]byte, r.main.Config().BlockSize)
-			for b := int64(500); b < 2000; b++ {
-				sv.Write(p, b, buf)
-				kv.Write(p, b, buf)
-			}
-		})
-		r.env.Run(0)
-		r.catchUp()
-		// Disaster: partition, a little stranded work, failover.
-		r.links.Partition()
-		r.env.Process("stranded", func(p *sim.Proc) { r.shop.Run(p, 3) })
-		r.env.Run(r.env.Now() + 50*time.Millisecond)
-		if _, err := r.groups[0].Failover(); err != nil {
+		out = append(out, res)
+	}
+	if last := len(outageOrders) - 1; last >= 0 {
+		res, err := e10Run(seed+int64(last), outageOrders[last], 4)
+		if err != nil {
 			return nil, err
-		}
-		r.env.Run(0)
-
-		// Production continues at the backup site during the outage. The
-		// backup DBs are recovered copies; for the resync measurement we
-		// write blocks directly (the delta bitmap is block-level).
-		bs, _ := r.backup.Volume("sales")
-		bk, _ := r.backup.Volume("stock")
-		// Production rewrites a hot working set (databases hammer their WAL
-		// region and hot pages), so the delta saturates at the working-set
-		// size rather than growing without bound.
-		r.env.Process("outage-production", func(p *sim.Proc) {
-			buf := make([]byte, r.backup.Config().BlockSize)
-			for w := 0; w < n; w++ {
-				bs.Write(p, int64(1200+w%100), buf)
-				bk.Write(p, int64(1200+w%100), buf)
-			}
-		})
-		r.env.Run(0)
-
-		// The main site returns.
-		r.links.Heal()
-		var res FailbackResult
-		res.OutageOrders = n
-		var fbErr error
-		r.env.Process("failback", func(p *sim.Proc) {
-			start := p.Now()
-			reverse, stats, err := replication.Failback(p, r.groups[0], r.main, r.links.Reverse, replication.Config{})
-			if err != nil {
-				fbErr = err
-				return
-			}
-			res.ResyncTime = p.Now() - start
-			res.DeltaBlocks = stats.DeltaBlocks
-			res.FullBlocks = stats.TotalBlocks
-			if stats.DeltaBlocks > 0 {
-				res.SavingsX = float64(stats.TotalBlocks) / float64(stats.DeltaBlocks)
-			}
-			// Verify the reverse direction carries new production.
-			buf := make([]byte, r.backup.Config().BlockSize)
-			buf[0] = 0x5A
-			bs.Write(p, 1999, buf)
-			reverse.CatchUp(p)
-			sv, _ := r.main.Volume("sales")
-			res.ReverseOK = sv.Peek(1999)[0] == 0x5A
-			reverse.Stop()
-		})
-		r.env.Run(0)
-		recordKernel(fmt.Sprintf("e10/outage=%d", n), r.env)
-		if fbErr != nil {
-			return nil, fmt.Errorf("E10 outage=%d: %w", n, fbErr)
 		}
 		out = append(out, res)
 	}
 	return out, nil
 }
 
+// e10Run measures one failback after an outage of n backup-site writes.
+func e10Run(seed int64, n, shards int) (FailbackResult, error) {
+	res := FailbackResult{Shards: shards, OutageOrders: n}
+	r, err := newRig(rigParams{
+		seed:   seed,
+		mode:   ModeADC,
+		shards: shards,
+		link:   netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 1e8},
+	})
+	if err != nil {
+		return res, fmt.Errorf("E10 outage=%d shards=%d: %w", n, shards, err)
+	}
+	// Steady state before the disaster: order history plus a bulk
+	// dataset (the databases' cold data), all fully replicated. This
+	// is what a bitmap-less full resync would recopy.
+	if _, err := r.runOrders(400); err != nil {
+		return res, err
+	}
+	r.env.Process("bulk-load", func(p *sim.Proc) {
+		sv, _ := r.main.Volume("sales")
+		kv, _ := r.main.Volume("stock")
+		buf := make([]byte, r.main.Config().BlockSize)
+		for b := int64(500); b < 2000; b++ {
+			sv.Write(p, b, buf)
+			kv.Write(p, b, buf)
+		}
+	})
+	r.env.Run(0)
+	r.catchUp()
+	// Disaster: partition, a little stranded work, failover.
+	r.links.Partition()
+	r.env.Process("stranded", func(p *sim.Proc) { r.shop.Run(p, 3) })
+	r.env.Run(r.env.Now() + 50*time.Millisecond)
+	if _, err := r.groups[0].Failover(); err != nil {
+		return res, err
+	}
+	r.env.Run(0)
+
+	// Production continues at the backup site during the outage. The
+	// backup DBs are recovered copies; for the resync measurement we
+	// write blocks directly (the delta bitmap is block-level).
+	bs, _ := r.backup.Volume("sales")
+	bk, _ := r.backup.Volume("stock")
+	// Production rewrites a hot working set (databases hammer their WAL
+	// region and hot pages), so the delta saturates at the working-set
+	// size rather than growing without bound.
+	r.env.Process("outage-production", func(p *sim.Proc) {
+		buf := make([]byte, r.backup.Config().BlockSize)
+		for w := 0; w < n; w++ {
+			bs.Write(p, int64(1200+w%100), buf)
+			bk.Write(p, int64(1200+w%100), buf)
+		}
+	})
+	r.env.Run(0)
+
+	// The main site returns.
+	r.links.Heal()
+	var fbErr error
+	r.env.Process("failback", func(p *sim.Proc) {
+		start := p.Now()
+		reverse, stats, err := r.groups[0].Failback(p, r.main, r.links.Reverse)
+		if err != nil {
+			fbErr = err
+			return
+		}
+		res.ResyncTime = p.Now() - start
+		res.DeltaBlocks = stats.DeltaBlocks
+		res.FullBlocks = stats.TotalBlocks
+		if stats.DeltaBlocks > 0 {
+			res.SavingsX = float64(stats.TotalBlocks) / float64(stats.DeltaBlocks)
+		}
+		// Verify the reverse direction carries new production.
+		buf := make([]byte, r.backup.Config().BlockSize)
+		buf[0] = 0x5A
+		bs.Write(p, 1999, buf)
+		reverse.CatchUp(p)
+		sv, _ := r.main.Volume("sales")
+		res.ReverseOK = sv.Peek(1999)[0] == 0x5A
+		reverse.Stop()
+	})
+	r.env.Run(0)
+	label := fmt.Sprintf("e10/outage=%d", n)
+	if shards > 1 {
+		label += fmt.Sprintf("/shards=%d", shards)
+	}
+	recordKernel(label, r.env)
+	if fbErr != nil {
+		return res, fmt.Errorf("E10 outage=%d shards=%d: %w", n, shards, fbErr)
+	}
+	return res, nil
+}
+
 // E10Table renders E10 results.
 func E10Table(results []FailbackResult) *metrics.Table {
 	t := metrics.NewTable("E10: failback delta resync after outage (DR extension, §I context)",
-		"outage writes", "delta blocks", "full-copy blocks", "resync time", "savings", "reverse ok")
+		"shards", "outage writes", "delta blocks", "full-copy blocks", "resync time", "savings", "reverse ok")
 	for _, r := range results {
-		t.AddRow(r.OutageOrders, r.DeltaBlocks, r.FullBlocks, r.ResyncTime, fmt.Sprintf("%.1fx", r.SavingsX), r.ReverseOK)
+		t.AddRow(r.Shards, r.OutageOrders, r.DeltaBlocks, r.FullBlocks, r.ResyncTime, fmt.Sprintf("%.1fx", r.SavingsX), r.ReverseOK)
 	}
-	t.AddNote("shape: delta grows with outage, stays well under full copy; resync time tracks the delta")
+	t.AddNote("shape: delta grows with outage, stays well under full copy at 1 and 4 shards; resync time tracks the delta")
 	return t
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/consistency"
 	"repro/internal/db"
 	"repro/internal/fabric"
+	"repro/internal/invariants"
 	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/replication"
@@ -163,13 +164,9 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 			return res, err
 		}
 	}
-	vj, err := main.CreateConsistencyGroup("cg-victim", []storage.VolumeID{"v-sales", "v-stock"})
-	if err != nil {
-		return res, err
-	}
 	victimPath := fab.Path(e12Gold, "victim")
-	vg, err := replication.NewGroup(env, "victim", vj, backup,
-		ident("v-sales", "v-stock"), victimPath, replication.Config{BatchMax: 16})
+	vg, err := newGroup(main, backup, "cg-victim", "victim", []fabric.Path{victimPath},
+		replication.Config{BatchMax: 16}, "v-sales", "v-stock")
 	if err != nil {
 		return res, err
 	}
@@ -177,7 +174,7 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 
 	// Noisy neighbor: independent single-volume copy sessions that flood.
 	noisyPath := fab.Path(e12Bulk, "noisy")
-	var others []*replication.Group
+	var others []*replication.ShardedGroup
 	var noisyVols []storage.VolumeID
 	if sc.noisy {
 		for k := 0; k < e12NoisyDrains; k++ {
@@ -185,12 +182,8 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 			if err := mkPair(id, 512); err != nil {
 				return res, err
 			}
-			j, err := main.CreateConsistencyGroup("cg-"+string(id), []storage.VolumeID{id})
-			if err != nil {
-				return res, err
-			}
-			g, err := replication.NewGroup(env, string(id), j, backup,
-				ident(id), noisyPath, replication.Config{BatchMax: 64})
+			g, err := newGroup(main, backup, "cg-"+string(id), string(id), []fabric.Path{noisyPath},
+				replication.Config{BatchMax: 64}, id)
 			if err != nil {
 				return res, err
 			}
@@ -207,12 +200,8 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 		if err := mkPair(id, 512); err != nil {
 			return res, err
 		}
-		j, err := main.CreateConsistencyGroup("cg-"+string(id), []storage.VolumeID{id})
-		if err != nil {
-			return res, err
-		}
-		g, err := replication.NewGroup(env, string(id), j, backup,
-			ident(id), fab.Path(e12Silver, string(id)), replication.Config{BatchMax: 16})
+		g, err := newGroup(main, backup, "cg-"+string(id), string(id), []fabric.Path{fab.Path(e12Silver, string(id))},
+			replication.Config{BatchMax: 16}, id)
 		if err != nil {
 			return res, err
 		}
@@ -372,17 +361,10 @@ func e12Run(seed int64, sc e12Scenario, orders int) (InterferenceResult, error) 
 	return res, nil
 }
 
-// e12ApplyOrderOK checks a group applied its records in strictly
-// increasing journal-sequence order — the per-session consistency cut.
-func e12ApplyOrderOK(g *replication.Group) bool {
-	var last int64
-	for _, r := range g.ApplyLog() {
-		if r.Seq <= last {
-			return false
-		}
-		last = r.Seq
-	}
-	return true
+// e12ApplyOrderOK checks a group applied an exact prefix of its journal
+// sequence — the per-session consistency cut.
+func e12ApplyOrderOK(g *replication.ShardedGroup) bool {
+	return len(invariants.CheckCommitBoundary("", g)) == 0
 }
 
 // E12Table renders the E12 results.

@@ -130,13 +130,10 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 			runErr = fmt.Errorf("groups = %d, want 1", len(groups))
 			return
 		}
-		g := groups[0]
-		if shards > 1 {
-			sg, ok := g.(*replication.ShardedGroup)
-			if !ok || sg.Lanes() != shards {
-				runErr = fmt.Errorf("engine %T with %d lanes, want sharded with %d", g, shards, shards)
-				return
-			}
+		g := groups[0].(*replication.ShardedGroup)
+		if g.Lanes() != shards {
+			runErr = fmt.Errorf("engine with %d lanes, want %d", g.Lanes(), shards)
+			return
 		}
 
 		vols := make([]*storage.Volume, e13Volumes)
@@ -166,9 +163,7 @@ func e13Run(seed int64, shards, writes int, failover bool, res *ShardedThroughpu
 		g.CatchUp(p)
 		res.DrainTime = p.Now() - start
 		res.Bytes = g.AppliedBytes()
-		if sg, ok := g.(*replication.ShardedGroup); ok {
-			res.EpochCommits = sg.EpochCommits()
-		}
+		res.EpochCommits = g.EpochCommits()
 	})
 	if failover {
 		sys.Env.Process("disaster", func(p *sim.Proc) {

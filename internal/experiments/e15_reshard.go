@@ -139,24 +139,6 @@ func e15Provision(p *sim.Proc, sys *core.System) ([]*storage.Volume, []*core.Bus
 	return vols, bg, nil
 }
 
-// e15AppliedBytes sums committed backup bytes across engine generations:
-// the 1→4 upgrade swaps the plain engine for a sharded one, and the plain
-// engine's counters freeze at the (lossless) handoff.
-func e15AppliedBytes(sys *core.System, old replication.Replicator) int64 {
-	var n int64
-	seen := false
-	for _, g := range sys.Groups(e15Namespace) {
-		n += g.AppliedBytes()
-		if g == old {
-			seen = true
-		}
-	}
-	if !seen && old != nil {
-		n += old.AppliedBytes()
-	}
-	return n
-}
-
 func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	sys := e15System(seed, writes)
 	var runErr error
@@ -171,7 +153,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	ready := sys.Env.NewEvent()
 	var vols []*storage.Volume
 	var bg []*core.BusinessProcess
-	var firstEngine replication.Replicator
+	var sg *replication.ShardedGroup // the bench tenant's engine, resharded in place
 	var startWrites time.Duration
 
 	sys.Env.Process("driver", func(p *sim.Proc) {
@@ -186,9 +168,9 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			fail(fmt.Errorf("groups = %d, want 1", len(groups)))
 			return
 		}
-		firstEngine = groups[0]
-		if _, ok := firstEngine.(*replication.Group); !ok {
-			fail(fmt.Errorf("shards=1 engine is %T, want the plain engine", firstEngine))
+		sg = groups[0].(*replication.ShardedGroup)
+		if sg.Lanes() != 1 {
+			fail(fmt.Errorf("shards=1 engine has %d lanes", sg.Lanes()))
 			return
 		}
 		startWrites = p.Now()
@@ -220,7 +202,7 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 	if !failover {
 		sys.Env.Process("reshard", func(p *sim.Proc) {
 			p.Wait(halfway)
-			preBytes := e15AppliedBytes(sys, firstEngine)
+			preBytes := sg.AppliedBytes()
 			declaredAt := p.Now()
 			res.PreMBps = mbps(preBytes, declaredAt-startWrites)
 			if err := sys.UpdateTenantSpec(p, e15Namespace, func(s *platform.TenantSpec) {
@@ -235,11 +217,9 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			}
 			settledAt := p.Now()
 			res.StallTime = settledAt - declaredAt
-			res.DuringMBps = mbps(e15AppliedBytes(sys, firstEngine)-preBytes, settledAt-declaredAt)
-			groups := sys.Groups(e15Namespace)
-			sg, ok := groups[0].(*replication.ShardedGroup)
-			if !ok || sg.Lanes() != e15ToShards {
-				fail(fmt.Errorf("post-reshard engine %T", groups[0]))
+			res.DuringMBps = mbps(sg.AppliedBytes()-preBytes, settledAt-declaredAt)
+			if g := sys.Groups(e15Namespace)[0]; g != replication.Replicator(sg) || sg.Lanes() != e15ToShards {
+				fail(fmt.Errorf("post-reshard engine %v, want %v on %d lanes", g, sg, e15ToShards))
 				return
 			}
 			sj, err := sys.Main.Array.ShardedJournal(sg.JournalID())
@@ -254,9 +234,9 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 			// Post window: drain the remaining backlog on four lanes.
 			p.Wait(writerDone)
 			postStart := p.Now()
-			postBase := e15AppliedBytes(sys, firstEngine)
+			postBase := sg.AppliedBytes()
 			sg.CatchUp(p)
-			res.PostMBps = mbps(e15AppliedBytes(sys, firstEngine)-postBase, p.Now()-postStart)
+			res.PostMBps = mbps(sg.AppliedBytes()-postBase, p.Now()-postStart)
 
 			// Unchanged reconcile: re-declare the same count and touch the
 			// CR so every controller runs once more — zero migration.
@@ -298,19 +278,16 @@ func e15Run(seed int64, writes int, failover bool, res *ReshardResult) error {
 		})
 		sys.Env.Process("disaster", func(p *sim.Proc) {
 			p.Wait(halfway)
-			// Strike while the migration window is open: wait for the
-			// sharded engine to appear with its window unsettled.
+			// Strike while the migration window is open.
 			deadline := p.Now() + 30*time.Second
 			for {
-				if gs := sys.Groups(e15Namespace); len(gs) == 1 {
-					if sg, ok := gs[0].(*replication.ShardedGroup); ok && sg.Resharding() {
-						res.RacedWindow = true
-						res.CutPreBarrier = sg.CommittedEpoch() < sg.MigrationBarrier()
-						if _, err := sg.Failover(); err != nil {
-							fail(err)
-						}
-						break
+				if sg.Resharding() {
+					res.RacedWindow = true
+					res.CutPreBarrier = sg.CommittedEpoch() < sg.MigrationBarrier()
+					if _, err := sg.Failover(); err != nil {
+						fail(err)
 					}
+					break
 				}
 				if p.Now() >= deadline {
 					fail(fmt.Errorf("migration window never observed open"))

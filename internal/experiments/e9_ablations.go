@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/netlink"
 	"repro/internal/replication"
@@ -120,13 +121,9 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResul
 				backup.CreateVolume(id, 256)
 				vols = append(vols, id)
 			}
-			var groups []*replication.Group
+			var groups []*replication.ShardedGroup
 			if shared {
-				j, err := main.CreateConsistencyGroup("cg", vols)
-				if err != nil {
-					return nil, err
-				}
-				g, err := replication.NewGroup(env, "cg", j, backup, ident(vols...), link, replication.Config{})
+				g, err := newGroup(main, backup, "cg", "cg", []fabric.Path{link}, replication.Config{}, vols...)
 				if err != nil {
 					return nil, err
 				}
@@ -134,11 +131,7 @@ func E9CGScale(seed int64, volumeCounts []int, writesPerVol int) ([]CGScaleResul
 				groups = append(groups, g)
 			} else {
 				for _, v := range vols {
-					j, err := main.CreateConsistencyGroup("j-"+string(v), []storage.VolumeID{v})
-					if err != nil {
-						return nil, err
-					}
-					g, err := replication.NewGroup(env, "g-"+string(v), j, backup, ident(v), link, replication.Config{})
+					g, err := newGroup(main, backup, "j-"+string(v), "g-"+string(v), []fabric.Path{link}, replication.Config{}, v)
 					if err != nil {
 						return nil, err
 					}

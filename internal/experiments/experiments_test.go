@@ -267,6 +267,17 @@ func TestE10FailbackDeltaBeatsFullCopy(t *testing.T) {
 	if !(results[2].ResyncTime > results[0].ResyncTime) {
 		t.Errorf("resync time flat: %v -> %v", results[0].ResyncTime, results[2].ResyncTime)
 	}
+	// Delta << full copy, at one shard and at four: at least 10x smaller.
+	shards := map[int]bool{}
+	for _, r := range results {
+		shards[r.Shards] = true
+		if r.DeltaBlocks*10 > r.FullBlocks {
+			t.Errorf("shards=%d outage=%d: delta %d not << full copy %d", r.Shards, r.OutageOrders, r.DeltaBlocks, r.FullBlocks)
+		}
+	}
+	if !shards[1] || !shards[4] {
+		t.Errorf("want rows at 1 and 4 shards, got %v", shards)
+	}
 	t.Log("\n" + E10Table(results).String())
 }
 

@@ -7,10 +7,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/platform"
 	"repro/internal/replication"
@@ -47,7 +49,7 @@ type rig struct {
 	links  *netlink.Pair
 	mode   Mode
 
-	groups []*replication.Group
+	groups []*replication.ShardedGroup
 	sales  *db.DB
 	stock  *db.DB
 	shop   *workload.Shop
@@ -60,6 +62,7 @@ type rigParams struct {
 	link     netlink.Config
 	storage  storage.Config
 	repl     replication.Config
+	shards   int // ModeADC journal shards (default 1)
 	volBlk   int64
 	workload workload.Config
 }
@@ -115,17 +118,14 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 	switch r.mode {
 	case ModeNone:
 	case ModeADC:
-		j, err := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"})
-		if err != nil {
-			return err
-		}
-		g, err := replication.NewGroup(r.env, "cg", j, r.backup,
-			ident("sales", "stock"), r.links.Forward, params.repl)
+		// Every lane shares the one link pair.
+		paths := slices.Repeat([]fabric.Path{r.links.Forward}, max(1, params.shards))
+		g, err := newGroup(r.main, r.backup, "cg", "cg", paths, params.repl, "sales", "stock")
 		if err != nil {
 			return err
 		}
 		g.Start()
-		r.groups = []*replication.Group{g}
+		r.groups = []*replication.ShardedGroup{g}
 	case ModeADCNoCG:
 		// Without a consistency group each volume pair is an independent
 		// copy session: its own journal AND its own link-level session
@@ -133,13 +133,8 @@ func (r *rig) bootstrap(p *sim.Proc, params rigParams) error {
 		// independently). The divergence between sessions is exactly what
 		// lets the backup collapse.
 		for _, vol := range []storage.VolumeID{"sales", "stock"} {
-			j, err := r.main.CreateConsistencyGroup("j-"+string(vol), []storage.VolumeID{vol})
-			if err != nil {
-				return err
-			}
 			session := netlink.New(r.env, params.link)
-			g, err := replication.NewGroup(r.env, "g-"+string(vol), j, r.backup,
-				ident(vol), session, params.repl)
+			g, err := newGroup(r.main, r.backup, "j-"+string(vol), "g-"+string(vol), []fabric.Path{session}, params.repl, vol)
 			if err != nil {
 				return err
 			}
@@ -200,6 +195,19 @@ func provisionClaims(p *sim.Proc, sys *core.System, namespace string, pvcs []str
 		}
 	}
 	return nil
+}
+
+// newGroup builds a consistency group: a journal id over vols on src split
+// into len(paths) shards, drained as group name with lane k over paths[k]
+// into the identically named twins on dst. One path is the paper's plain
+// group.
+func newGroup(src, dst *storage.Array, id, name string, paths []fabric.Path, cfg replication.Config,
+	vols ...storage.VolumeID) (*replication.ShardedGroup, error) {
+	j, err := src.CreateShardedConsistencyGroup(id, vols, len(paths))
+	if err != nil {
+		return nil, err
+	}
+	return replication.NewShardedGroup(src.Env(), name, j, dst, ident(vols...), paths, cfg)
 }
 
 // ident builds an identity volume mapping.

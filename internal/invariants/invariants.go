@@ -18,12 +18,14 @@
 //   - stamped prefix: a failed-over volume set holds exactly the blocks
 //     {1..K} of the sequence-stamped write order (E13/E15's write-heavy
 //     tenants) — nothing leaked past the barrier;
-//   - epoch boundary: a sharded group's backup image never exposes a
-//     record from an epoch newer than the last committed barrier;
+//   - commit boundary: a one-lane group's direct applies are an exact
+//     prefix of its shard's sequence, and an epoch-committed backup image
+//     never exposes a record from an epoch newer than the last committed
+//     barrier;
 //   - zero residue: a decommissioned tenant left nothing behind on either
 //     array (volumes, journals, snapshots);
-//   - fail-closed overflow: a journal over its declared capacity has
-//     overflowed, a sharded group overflows all-or-none, and every member
+//   - fail-closed overflow: a shard over its declared capacity has
+//     overflowed, a group's shards overflow all-or-none, and every member
 //     volume of an overflowed journal is change tracking (the resync delta
 //     is being accumulated);
 //   - no orphan groups: every registered replication engine belongs to a
@@ -115,25 +117,46 @@ func CheckConsistentCut(tenant string, rep consistency.Report) []Violation {
 	return out
 }
 
-// CheckEpochBoundary asserts that a sharded group's backup image is bounded
-// by its epoch barrier: no applied record carries an epoch newer than the
-// last committed one. Installs and the committed-epoch advance happen in
-// the same scheduler step (replication.ShardedGroup.commitEpoch), so this
-// holds at every step boundary — a violation means the barrier leaked.
-func CheckEpochBoundary(tenant string, sg *replication.ShardedGroup) []Violation {
-	committed := sg.CommittedEpoch()
-	maxApplied := int64(0)
-	for _, r := range sg.ApplyLog() {
-		if r.Epoch > maxApplied {
-			maxApplied = r.Epoch
+// CommitLog is what CheckCommitBoundary reads from a replication group
+// (every replication.Replicator is one).
+type CommitLog interface {
+	Name() string
+	ApplyLog() []storage.Record
+	DirectApplied() int
+	CommittedEpoch() int64
+}
+
+var _ CommitLog = replication.Replicator(nil)
+
+// CheckCommitBoundary asserts that a group's backup image sits on a commit
+// boundary, in whichever mode applied each record. The leading
+// DirectApplied records of the apply log were applied by the one-lane path
+// and must be an exact prefix of its shard's sequence (Seq 1, 2, 3, ...:
+// no hole, no reorder). Every later record was committed by the epoch
+// coordinator, which installs an epoch and advances the committed epoch in
+// the same scheduler step, so none may carry an epoch newer than the last
+// committed one. A violation means a batch or a barrier leaked.
+func CheckCommitBoundary(tenant string, g CommitLog) []Violation {
+	log, direct := g.ApplyLog(), g.DirectApplied()
+	var out []Violation
+	for i, r := range log[:direct] {
+		if r.Seq != int64(i+1) {
+			out = append(out, violate("commit-boundary", tenant,
+				"%s applied seq %d as its record %d: not an exact prefix of its shard's sequence",
+				g.Name(), r.Seq, i+1))
+			break
 		}
 	}
-	if maxApplied > committed {
-		return []Violation{violate("epoch-boundary", tenant,
-			"%s applied a record from epoch %d past committed barrier %d",
-			sg.Name(), maxApplied, committed)}
+	committed := g.CommittedEpoch()
+	for _, r := range log[direct:] {
+		if r.Epoch > committed {
+			out = append(out, violate("commit-boundary", tenant,
+				"%s applied a record from epoch %d past committed barrier %d",
+				g.Name(), r.Epoch, committed))
+			break
+		}
 	}
-	return nil
+	return out
 }
 
 // CheckZeroResidue asserts a decommissioned tenant reclaimed everything:
@@ -148,28 +171,11 @@ func CheckZeroResidue(tenant string, residue []string) []Violation {
 	return out
 }
 
-// CheckFailClosed asserts the overflow contract on a plain (unsharded)
-// journal: the backlog never silently exceeds a declared capacity, and once
-// overflowed, every member volume is change tracking so a resync can copy
-// exactly the delta.
-func CheckFailClosed(tenant string, a *storage.Array, j *storage.Journal) []Violation {
-	var out []Violation
-	if capacity := j.CapacityBytes(); capacity > 0 && !j.Overflowed() && j.PendingBytes() > capacity {
-		out = append(out, violate("fail-closed", tenant,
-			"journal %s backlog %dB exceeds capacity %dB without overflowing",
-			j.ID(), j.PendingBytes(), capacity))
-	}
-	if j.Overflowed() {
-		out = append(out, checkMembersTracking(tenant, a, j)...)
-	}
-	return out
-}
-
-// CheckFailClosedSharded asserts the overflow contract on a sharded
-// consistency-group journal: shards overflow all-or-none (a partially
-// journaling group cannot replay a consistent cross-shard cut), per-shard
-// backlogs respect a declared capacity, and an overflowed group has every
-// member volume change tracking.
+// CheckFailClosedSharded asserts the overflow contract on a consistency
+// group's journal, one shard or many: shards overflow all-or-none (a
+// partially journaling group cannot replay a consistent cross-shard cut),
+// per-shard backlogs respect a declared capacity, and an overflowed group
+// has every member volume change tracking.
 func CheckFailClosedSharded(tenant string, a *storage.Array, sj *storage.ShardedJournal) []Violation {
 	var out []Violation
 	for _, j := range sj.Shards() {

@@ -91,36 +91,38 @@ func TestCheckZeroResidue(t *testing.T) {
 	}
 }
 
+// TestCheckFailClosedPlainJournal: a plain consistency group is a one-shard
+// journal, checked by the same fail-closed contract as a sharded one.
 func TestCheckFailClosedPlainJournal(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := storage.NewArray(env, "m", storage.Config{})
 	if _, err := a.CreateVolume("v", 16); err != nil {
 		t.Fatal(err)
 	}
-	j, err := a.CreateConsistencyGroup("cg", []storage.VolumeID{"v"})
+	sj, err := a.CreateShardedConsistencyGroup("cg", []storage.VolumeID{"v"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	v, _ := a.Volume("v")
 	stamped(t, env, v, 0, 1) // one pending record in the journal
-	if vs := CheckFailClosed("t0", a, j); len(vs) != 0 {
+	if vs := CheckFailClosedSharded("t0", a, sj); len(vs) != 0 {
 		t.Fatalf("unbounded journal flagged: %v", vs)
 	}
 	// Squeeze the capacity under the backlog: must fail closed immediately,
 	// members tracking — and then the checker is clean again.
-	j.SetCapacityBytes(1)
-	if !j.Overflowed() {
+	sj.SetCapacityPerShard(1)
+	if !sj.Overflowed() {
 		t.Fatal("squeeze under backlog did not overflow")
 	}
 	if !v.TrackingChanges() {
 		t.Fatal("overflowed member not change tracking")
 	}
-	if vs := CheckFailClosed("t0", a, j); len(vs) != 0 {
+	if vs := CheckFailClosedSharded("t0", a, sj); len(vs) != 0 {
 		t.Fatalf("fail-closed overflow flagged: %v", vs)
 	}
 	// Break the contract behind the checker's back: member stops tracking.
 	v.StopChangeTracking()
-	vs := CheckFailClosed("t0", a, j)
+	vs := CheckFailClosedSharded("t0", a, sj)
 	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "not change tracking") {
 		t.Fatalf("broken tracking not reported: %v", vs)
 	}
@@ -170,6 +172,45 @@ func TestCheckFailClosedShardedAllOrNone(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("partial overflow not reported: %v", vs)
+	}
+}
+
+// fakeLog is a CommitLog with a planted apply history.
+type fakeLog struct {
+	log       []storage.Record
+	direct    int
+	committed int64
+}
+
+func (f fakeLog) Name() string               { return "cg" }
+func (f fakeLog) ApplyLog() []storage.Record { return f.log }
+func (f fakeLog) DirectApplied() int         { return f.direct }
+func (f fakeLog) CommittedEpoch() int64      { return f.committed }
+
+func TestCheckCommitBoundaryDirect(t *testing.T) {
+	prefix := fakeLog{log: []storage.Record{{Seq: 1, Epoch: 1}, {Seq: 2, Epoch: 1}, {Seq: 3, Epoch: 1}}, direct: 3}
+	if vs := CheckCommitBoundary("t0", prefix); len(vs) != 0 {
+		t.Fatalf("exact prefix flagged: %v", vs)
+	}
+	// Planted: a batch skipped seq 2 on the one-lane path.
+	hole := fakeLog{log: []storage.Record{{Seq: 1, Epoch: 1}, {Seq: 3, Epoch: 1}}, direct: 2}
+	vs := CheckCommitBoundary("t0", hole)
+	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "exact prefix") {
+		t.Fatalf("hole in the direct prefix not reported: %v", vs)
+	}
+}
+
+func TestCheckCommitBoundaryEpoch(t *testing.T) {
+	// Two direct applies of epoch 1, then the coordinator committed
+	// epochs 2 and 3 (epoch 1's remainder among them).
+	log := []storage.Record{{Seq: 1, Epoch: 1}, {Seq: 2, Epoch: 1}, {Seq: 3, Epoch: 1}, {Seq: 1, Epoch: 2}, {Seq: 4, Epoch: 3}}
+	if vs := CheckCommitBoundary("t0", fakeLog{log: log, direct: 2, committed: 3}); len(vs) != 0 {
+		t.Fatalf("committed epochs flagged: %v", vs)
+	}
+	// Planted: a record of epoch 3 exposed while only epoch 2 committed.
+	vs := CheckCommitBoundary("t0", fakeLog{log: log, direct: 2, committed: 2})
+	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "past committed barrier") {
+		t.Fatalf("leaked epoch not reported: %v", vs)
 	}
 }
 

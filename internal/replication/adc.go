@@ -1,25 +1,17 @@
 // Package replication implements the paper's remote-copy engines:
 //
-//   - Group — asynchronous data copy (ADC, §III-A1): a drain process moves
-//     journal records across the inter-site link in batches and applies them
-//     at the backup array strictly in journal-sequence order. When the
-//     journal is a consistency group's shared journal, cross-volume ordering
-//     is preserved; with one Group per volume it is not (the configuration
-//     experiment E6 shows collapses).
+//   - ShardedGroup — asynchronous data copy (ADC, §III-A1): drain lanes move
+//     journal records across the inter-site link in batches and apply them
+//     at the backup array in ack order. A consistency group's volumes share
+//     one journal, so cross-volume ordering is preserved; with one group per
+//     volume it is not (the configuration experiment E6 shows collapses).
+//     A plain consistency group is a one-shard journal on one lane.
 //   - SyncVolume — synchronous data copy (SDC, §V baseline): every write
 //     waits for the remote apply and the returning ack, putting the link RTT
 //     on the business-processing path.
 package replication
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"repro/internal/fabric"
-	"repro/internal/sim"
-	"repro/internal/storage"
-)
+import "errors"
 
 // ErrStopped is returned by operations on a stopped replication group.
 var ErrStopped = errors.New("replication: group stopped")
@@ -38,403 +30,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Group replicates one source journal to target volumes asynchronously.
-type Group struct {
-	env     *sim.Env
-	name    string
-	journal *storage.Journal
-	target  *storage.Array
-	mapping map[storage.VolumeID]storage.VolumeID
-	path    fabric.Path
-	cfg     Config
-
-	stopEv     *sim.Event
-	stopped    bool
-	caughtUp   *sim.Event
-	inflight   int
-	detachEv   *sim.Event // requests a batch-boundary drain halt
-	detachedEv *sim.Event // acknowledged: drain parked, nothing in flight
-	detachReq  bool
-	detached   bool
-
-	appliedSeq     int64
-	appliedRecords int64
-	appliedBytes   int64
-	lastAppliedAck time.Duration
-	applyLog       []storage.Record // applied at target, for verification
-	lost           []storage.Record // abandoned in flight by Stop (disaster split)
-	batch          []storage.Record // drain scratch, reused across batches
-	failedOver     bool
-	drainProc      *sim.Proc
-}
-
-// NewGroup wires a source journal to target volumes. mapping translates each
-// source volume ID to its backup-site twin; every journal member must be
-// mapped and every mapped target must exist on the target array. path is the
-// inter-site transfer path — a raw *netlink.Link or a QoS-classed
-// fabric.TenantPath are both fine.
-func NewGroup(env *sim.Env, name string, journal *storage.Journal, target *storage.Array,
-	mapping map[storage.VolumeID]storage.VolumeID, path fabric.Path, cfg Config) (*Group, error) {
-	for _, src := range journal.Members() {
-		dst, ok := mapping[src]
-		if !ok {
-			return nil, fmt.Errorf("replication: journal member %s has no target mapping", src)
-		}
-		if _, err := target.Volume(dst); err != nil {
-			return nil, fmt.Errorf("replication: target for %s: %w", src, err)
-		}
-	}
-	m := make(map[storage.VolumeID]storage.VolumeID, len(mapping))
-	for k, v := range mapping {
-		m[k] = v
-	}
-	return &Group{
-		env:        env,
-		name:       name,
-		journal:    journal,
-		target:     target,
-		mapping:    m,
-		path:       path,
-		cfg:        cfg.withDefaults(),
-		stopEv:     env.NewEvent(),
-		caughtUp:   env.NewEvent(),
-		detachEv:   env.NewEvent(),
-		detachedEv: env.NewEvent(),
-	}, nil
-}
-
-// Name returns the group name.
-func (g *Group) Name() string { return g.name }
-
-// Journal returns the source journal being drained.
-func (g *Group) Journal() *storage.Journal { return g.journal }
-
-// InitialCopy performs the ADC initialization bulk copy (§III-A1): every
-// written block of every source volume is transferred and applied to its
-// target. Writes that land during the copy flow through the journal and are
-// applied afterwards by the drain, so the target converges to a consistent
-// image. sources must live on the array owning the journal volumes.
-func (g *Group) InitialCopy(p *sim.Proc, source *storage.Array) error {
-	for _, src := range g.journal.Members() {
-		sv, err := source.Volume(src)
-		if err != nil {
-			return err
-		}
-		tv, err := g.target.Volume(g.mapping[src])
-		if err != nil {
-			return err
-		}
-		if err := g.bulkCopy(p, sv, tv, sv.WrittenBlocks()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// bulkCopy streams the given blocks of one volume to its target in
-// BatchMax-block batches: one link transfer and one delta-set apply per
-// batch instead of one scheduling event per block. The initial copy and
-// resync share it.
-func (g *Group) bulkCopy(p *sim.Proc, sv, tv *storage.Volume, blocks []int64) error {
-	for start := 0; start < len(blocks); start += g.cfg.BatchMax {
-		chunk := blocks[start:min(start+g.cfg.BatchMax, len(blocks))]
-		var bytes int
-		for range chunk {
-			bytes += sv.BlockSize() + 64
-		}
-		g.path.Transfer(p, bytes)
-		g.target.ApplyDeltaSet(p, len(chunk))
-		var err error
-		p.Do(func() {
-			for _, b := range chunk {
-				if err = tv.InstallDelta(b, sv.Peek(b)); err != nil {
-					return
-				}
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Start launches the drain process. It runs until Stop.
-func (g *Group) Start() {
-	if g.drainProc != nil {
-		return
-	}
-	g.drainProc = g.env.Process("adc-drain:"+g.name, g.drain)
-}
-
-// Stop halts the drain after the in-flight batch. Pending journal records
-// stay at the main site — exactly the data a disaster would lose (RPO).
-func (g *Group) Stop() {
-	if g.stopped {
-		return
-	}
-	g.stopped = true
-	g.stopEv.Trigger()
-}
-
-// Stopped reports whether Stop was called.
-func (g *Group) Stopped() bool { return g.stopped }
-
-func (g *Group) drain(p *sim.Proc) {
-	for {
-		// A stop lands here — a batch boundary — leaving the backlog pending
-		// at the source (the RPO exposure), not lost in flight.
-		if g.stopped {
-			return
-		}
-		// A detach lands here — a batch boundary — so nothing is ever in
-		// flight when the acknowledgement fires.
-		if g.detachReq {
-			g.detached = true
-			g.detachedEv.Trigger()
-			return
-		}
-		// The batch scratch is reused across iterations; records that
-		// outlive the batch (applyLog, lost) are copied out by value below.
-		recs := g.journal.TryTakeInto(g.batch, g.cfg.BatchMax)
-		if recs != nil {
-			g.batch = recs
-		}
-		if recs == nil {
-			if !g.caughtUp.Triggered() {
-				g.caughtUp.Trigger()
-			}
-			switch p.WaitAny(g.journal.NotEmpty(), g.stopEv, g.detachEv) {
-			case 1:
-				return
-			case 2:
-				g.detached = true
-				g.detachedEv.Trigger()
-				return
-			}
-			if g.stopped {
-				return
-			}
-			continue
-		}
-		g.inflight = len(recs)
-		var batchBytes int
-		for _, r := range recs {
-			batchBytes += r.SizeBytes()
-		}
-		g.path.Transfer(p, batchBytes)
-		// Stop splits the pair: a batch not yet applied is lost in flight,
-		// exactly as a disaster (or operator split) leaves it. The batch is
-		// the commit unit — its media time is charged in one delta-set apply
-		// and the records then install at zero cost in sequence order — so
-		// loss is batch-atomic and the target always holds an exact prefix
-		// of batch boundaries.
-		if g.stopped {
-			g.lost = append(g.lost, recs...)
-			g.inflight = 0
-			return
-		}
-		g.target.ApplyDeltaSet(p, len(recs))
-		if g.stopped {
-			g.lost = append(g.lost, recs...)
-			g.inflight = 0
-			return
-		}
-		p.Do(func() {
-			for _, r := range recs {
-				tv, err := g.target.Volume(g.mapping[r.Volume])
-				if err != nil {
-					panic(fmt.Sprintf("replication %s: target vanished: %v", g.name, err))
-				}
-				if err := tv.InstallDelta(r.Block, r.Data); err != nil {
-					panic(fmt.Sprintf("replication %s: apply: %v", g.name, err))
-				}
-				g.appliedSeq = r.Seq
-				g.appliedRecords++
-				g.appliedBytes += int64(len(r.Data))
-				g.lastAppliedAck = r.AckedAt
-				g.applyLog = append(g.applyLog, r)
-			}
-			g.inflight = 0
-		})
-		// No time passes between the post-apply stop check and here, so a
-		// stop cannot slip in; the loop head re-checks detach and stop.
-	}
-}
-
-// Detach halts the drain at a batch boundary WITHOUT the record loss a
-// disaster split (Stop) models: any in-flight batch finishes its transfer
-// and apply, then the drain parks and the journal's remaining backlog stays
-// pending — ready for another engine to adopt it. This is the planned
-// handoff the live 1→N reshard upgrade uses to replace a plain group with a
-// sharded one. The group never drains again after Detach returns.
-func (g *Group) Detach(p *sim.Proc) error {
-	if g.stopped {
-		return fmt.Errorf("replication: %s: %w", g.name, ErrStopped)
-	}
-	if g.detached {
-		return nil
-	}
-	g.detachReq = true
-	g.detachEv.Trigger()
-	if g.drainProc == nil {
-		// Never started: nothing in flight by construction.
-		g.detached = true
-		return nil
-	}
-	if p.WaitAny(g.detachedEv, g.stopEv) == 1 {
-		return fmt.Errorf("replication: %s: %w", g.name, ErrStopped)
-	}
-	return nil
-}
-
-// Detached reports whether Detach completed.
-func (g *Group) Detached() bool { return g.detached }
-
-// CatchUp blocks until the journal is drained and every record applied, or
-// the group stops. It reports whether the group fully caught up.
-func (g *Group) CatchUp(p *sim.Proc) bool {
-	for g.journal.Pending() > 0 || g.inflight > 0 {
-		if g.stopped {
-			return false
-		}
-		// A stale triggered marker means the drain caught up some time ago
-		// and has not yet seen the new backlog; arm a fresh event so this
-		// loop blocks instead of spinning at the current instant.
-		if g.caughtUp.Triggered() {
-			g.caughtUp = g.env.NewEvent()
-		}
-		if p.WaitAny(g.caughtUp, g.stopEv) == 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// RPO returns the recovery-point objective exposure at virtual time now: how
-// far the backup image lags the newest main-site ack. Zero when fully
-// caught up.
-func (g *Group) RPO(now time.Duration) time.Duration {
-	if oldest, ok := g.journal.OldestPendingAck(); ok {
-		return now - oldest
-	}
-	if g.inflight > 0 {
-		return now - g.lastAppliedAck
-	}
-	return 0
-}
-
-// Backlog returns the number of journal records not yet applied at the
-// target (pending + in flight).
-func (g *Group) Backlog() int { return g.journal.Pending() + g.inflight }
-
-// AppliedSeq returns the journal sequence applied through.
-func (g *Group) AppliedSeq() int64 { return g.appliedSeq }
-
-// AppliedRecords returns the lifetime count of applied records.
-func (g *Group) AppliedRecords() int64 { return g.appliedRecords }
-
-// AppliedBytes returns the lifetime payload bytes applied.
-func (g *Group) AppliedBytes() int64 { return g.appliedBytes }
-
-// ApplyLog returns the records applied at the target in apply order. The
-// consistency verifier reads it; callers must not mutate it.
-func (g *Group) ApplyLog() []storage.Record { return g.applyLog }
-
-// UnappliedRecords returns every record acknowledged at the source but
-// never applied at the target: the journal backlog plus any batch
-// abandoned in flight when the pair was split. Failback derives the
-// source-side divergence from it.
-func (g *Group) UnappliedRecords() []storage.Record {
-	out := append([]storage.Record(nil), g.lost...)
-	return append(out, g.journal.PendingRecords()...)
-}
-
-// Mapping returns a copy of the source→target volume mapping.
-func (g *Group) Mapping() map[storage.VolumeID]storage.VolumeID {
-	m := make(map[storage.VolumeID]storage.VolumeID, len(g.mapping))
-	for k, v := range g.mapping {
-		m[k] = v
-	}
-	return m
-}
-
-// Suspended reports whether the source journal has overflowed (the pair
-// is suspended and writes are tracked in the delta bitmap instead).
-func (g *Group) Suspended() bool { return g.journal.Overflowed() }
-
-// Resync recovers a suspended pair: it drains the journal's consistent
-// remainder, then copies the tracked delta blocks until a full pass finds
-// nothing new, and finally re-enables journaling. During the block-level
-// copy the target is NOT point-in-time consistent (which is why operators
-// snapshot the target before resyncing — exactly the demo's snapshot
-// group). maxPasses bounds convergence under continuous write load.
-func (g *Group) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error {
-	if !g.journal.Overflowed() {
-		return nil
-	}
-	if maxPasses <= 0 {
-		maxPasses = 10
-	}
-	g.CatchUp(p)
-	for pass := 0; pass < maxPasses; pass++ {
-		copied := false
-		for _, src := range g.journal.Members() {
-			sv, err := source.Volume(src)
-			if err != nil {
-				return err
-			}
-			tv, err := g.target.Volume(g.mapping[src])
-			if err != nil {
-				return err
-			}
-			blocks := sv.ChangedBlocks()
-			if len(blocks) == 0 {
-				continue
-			}
-			// Reset tracking so writes landing during this copy are
-			// caught by the next pass.
-			sv.StartChangeTracking()
-			if err := g.bulkCopy(p, sv, tv, blocks); err != nil {
-				return fmt.Errorf("replication %s: resync %s: %w", g.name, src, err)
-			}
-			copied = true
-		}
-		if !copied {
-			// Quiet pass: nothing dirtied since the last reset. No time
-			// passes between this check and ClearOverflow, so no write
-			// can slip between them.
-			g.journal.ClearOverflow()
-			return nil
-		}
-	}
-	return fmt.Errorf("replication %s: resync did not converge in %d passes", g.name, maxPasses)
-}
-
-// Failover stops replication and makes every target volume writable,
-// returning the volumes in journal-member order. This is the backup-site
-// recovery entry point (§I): the image is whatever has been applied.
-func (g *Group) Failover() ([]*storage.Volume, error) {
-	g.Stop()
-	g.failedOver = true
-	var vols []*storage.Volume
-	for _, src := range g.journal.Members() {
-		tv, err := g.target.Volume(g.mapping[src])
-		if err != nil {
-			return nil, err
-		}
-		tv.SetReadOnly(false)
-		// Record everything the new production site writes from here on —
-		// the delta-resync bitmap Failback copies back.
-		tv.StartChangeTracking()
-		vols = append(vols, tv)
-	}
-	return vols, nil
-}
-
-// FailedOver reports whether Failover ran.
-func (g *Group) FailedOver() bool { return g.failedOver }
-
-func (g *Group) String() string {
-	return fmt.Sprintf("ADCGroup(%s){applied=%d backlog=%d}", g.name, g.appliedRecords, g.Backlog())
-}
+// Group is never constructed. It exists only so that code type-switching
+// on both *Group and *ShardedGroup (the benchmark module) still compiles: an
+// alias would make the two cases duplicates.
+type Group struct{ ShardedGroup }

@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -26,47 +27,42 @@ type FailbackStats struct {
 }
 
 // Failback resynchronizes the original source site from a failed-over
-// group's targets and returns a new Group replicating in the reverse
-// direction (backup → original source). This is the disaster-recovery step
-// after the main site returns (§I's DR context, [6][7]):
+// group's targets and returns a new one-lane group replicating in the
+// reverse direction (backup → original source) with the same Config. This
+// is the disaster-recovery step after the main site returns (§I's DR
+// context, [6][7]):
 //
 //  1. the backup volumes' new writes start journaling into a fresh reverse
 //     consistency group (so production at the backup site continues
 //     un-slowed during the resync);
 //  2. the delta — blocks written at the backup since failover, plus blocks
 //     the old source had written that never reached the backup (the
-//     stranded journal backlog) — is copied back over the reverse link;
+//     stranded journal backlog, in-flight batches and staged records of
+//     every lane) — is copied back over the reverse link;
 //  3. the reverse drain starts, bringing the old source continuously in
 //     sync; the operator can later do a planned switchback.
 //
-// The old source's stranded journal is discarded (that data was lost by
-// the disaster; the backup's history won) and its volumes' journal
-// attachments are replaced by the reverse group's.
-func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric.Path, cfg Config) (*Group, FailbackStats, error) {
+// The old source's stranded journal — every shard of it — is discarded
+// (that data was lost by the disaster; the backup's history won) and its
+// volumes' journal attachments are replaced by the reverse group's.
+func (g *ShardedGroup) Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path) (*ShardedGroup, FailbackStats, error) {
 	var stats FailbackStats
-	if !old.failedOver {
+	if !g.failedOver {
 		return nil, stats, ErrNotFailedOver
 	}
-
-	// Capture membership first: detaching below empties the journal's list.
-	members := old.journal.Members()
+	members := g.journal.Members()
 
 	// Blocks that diverged on the old source: the stranded backlog plus
-	// anything abandoned in flight at the split.
+	// anything abandoned in flight or staged at the split.
 	diverged := make(map[storage.VolumeID]map[int64]bool)
-	for _, rec := range old.UnappliedRecords() {
+	for _, rec := range g.UnappliedRecords() {
 		if diverged[rec.Volume] == nil {
 			diverged[rec.Volume] = make(map[int64]bool)
 		}
 		diverged[rec.Volume][rec.Block] = true
 	}
 	// Drop the stranded journal: the backup's history is authoritative now.
-	for _, src := range members {
-		if err := source.DetachJournal(src); err != nil {
-			return nil, stats, err
-		}
-	}
-	if err := source.DeleteJournal(old.journal.ID()); err != nil {
+	if err := source.DeleteShardedJournal(g.journal.ID()); err != nil {
 		return nil, stats, err
 	}
 
@@ -75,24 +71,23 @@ func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric
 	reverseVols := make([]storage.VolumeID, len(members))
 	reverseMapping := make(map[storage.VolumeID]storage.VolumeID, len(members))
 	for i, src := range members {
-		dst := old.mapping[src]
+		dst := g.mapping[src]
 		reverseVols[i] = dst
 		reverseMapping[dst] = src
 	}
-	journalID := "fb-" + old.name
-	rj, err := old.target.CreateConsistencyGroup(journalID, reverseVols)
+	rj, err := g.target.CreateShardedConsistencyGroup("fb-"+g.name, reverseVols, 1)
 	if err != nil {
 		return nil, stats, err
 	}
-	reverse, err := NewGroup(old.env, "fb-"+old.name, rj, source, reverseMapping, reversePath, cfg)
+	reverse, err := NewShardedGroup(g.env, "fb-"+g.name, rj, source, reverseMapping, []fabric.Path{reversePath}, g.cfg)
 	if err != nil {
 		return nil, stats, err
 	}
 
 	// Delta resync: backup content wins for every block in the union.
 	for _, src := range members {
-		dst := old.mapping[src]
-		bv, err := old.target.Volume(dst)
+		dst := g.mapping[src]
+		bv, err := g.target.Volume(dst)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -112,7 +107,7 @@ func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric
 		for b := range delta {
 			blocks = append(blocks, b)
 		}
-		sortInt64(blocks)
+		slices.Sort(blocks)
 		for _, b := range blocks {
 			data := bv.Peek(b)
 			reversePath.Transfer(p, len(data)+64)
@@ -128,12 +123,4 @@ func Failback(p *sim.Proc, old *Group, source *storage.Array, reversePath fabric
 	}
 	reverse.Start()
 	return reverse, stats, nil
-}
-
-func sortInt64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

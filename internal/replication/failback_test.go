@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 // failoverRig drives a rig to the failed-over state with some divergence:
 // writes that never reached the backup, then new production at the backup.
-func failoverRig(t *testing.T) (*rig, *Group) {
+func failoverRig(t *testing.T) (*rig, *ShardedGroup) {
 	t.Helper()
 	r := newRig(t, netlink.Config{Propagation: 2 * time.Millisecond})
 	g := r.newCG(t, Config{})
@@ -40,7 +41,7 @@ func TestFailbackRequiresFailover(t *testing.T) {
 	r := newRig(t, netlink.Config{})
 	g := r.newCG(t, Config{})
 	r.env.Process("t", func(p *sim.Proc) {
-		if _, _, err := Failback(p, g, r.main, r.links.Reverse, Config{}); !errors.Is(err, ErrNotFailedOver) {
+		if _, _, err := g.Failback(p, r.main, r.links.Reverse); !errors.Is(err, ErrNotFailedOver) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -59,10 +60,10 @@ func TestFailbackResyncsDelta(t *testing.T) {
 	r.env.Run(0)
 
 	var stats FailbackStats
-	var reverse *Group
+	var reverse *ShardedGroup
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, stats, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		reverse, stats, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -99,10 +100,10 @@ func TestFailbackResyncsDelta(t *testing.T) {
 func TestFailbackReverseReplicationFlows(t *testing.T) {
 	r, g := failoverRig(t)
 	bs, _ := r.backup.Volume("sales")
-	var reverse *Group
+	var reverse *ShardedGroup
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, _, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		reverse, _, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -131,10 +132,10 @@ func TestFailbackCrossVolumeOrderPreserved(t *testing.T) {
 	r, g := failoverRig(t)
 	bs, _ := r.backup.Volume("sales")
 	bk, _ := r.backup.Volume("stock")
-	var reverse *Group
+	var reverse *ShardedGroup
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		reverse, _, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		reverse, _, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -179,8 +180,8 @@ func TestFailbackDeltaSmallerThanFull(t *testing.T) {
 	var stats FailbackStats
 	r.env.Process("failback", func(p *sim.Proc) {
 		var err error
-		var rev *Group
-		rev, stats, err = Failback(p, g, r.main, r.links.Reverse, Config{})
+		var rev *ShardedGroup
+		rev, stats, err = g.Failback(p, r.main, r.links.Reverse)
 		if err != nil {
 			t.Error(err)
 			return
@@ -193,5 +194,68 @@ func TestFailbackDeltaSmallerThanFull(t *testing.T) {
 	}
 	if stats.TotalBlocks < 100 {
 		t.Fatalf("total = %d, want >= 100", stats.TotalBlocks)
+	}
+}
+
+// TestFailbackShardedStrandedRecords fails a four-lane group over mid-drain,
+// with records still pending, in flight and staged past the last committed
+// epoch on its lanes, then fails it back: every stranded block joins the
+// delta, so the restored main site matches the backup block for block, the
+// stranded journal is gone, and the one-lane reverse group carries new
+// backup-site writes home.
+func TestFailbackShardedStrandedRecords(t *testing.T) {
+	link := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 2e6}
+	r := newShardedRig(t, 4, 8, link, Config{BatchMax: 8})
+	r.g.Start()
+	r.env.Process("writer", func(p *sim.Proc) {
+		for i := 0; i < 120; i++ {
+			r.seqWrite(p, t, i)
+		}
+	})
+	staged := 0
+	r.env.Process("disaster", func(p *sim.Proc) {
+		p.Sleep(60 * time.Millisecond) // mid-drain: backlog deep, lanes staged
+		for _, l := range r.g.lanes {
+			staged += len(l.staged)
+		}
+		if _, err := r.g.Failover(); err != nil {
+			t.Error(err)
+		}
+	})
+	r.env.Run(0)
+	if staged == 0 || len(r.g.UnappliedRecords()) <= staged {
+		t.Fatalf("degenerate split: %d staged of %d unapplied", staged, len(r.g.UnappliedRecords()))
+	}
+	tv, _ := r.backup.Volume(r.vols[0])
+	var rev *ShardedGroup
+	r.env.Process("failback", func(p *sim.Proc) {
+		tv.Write(p, 200, fill(r.backup, 0x5A)) // backup-era production
+		var err error
+		if rev, _, err = r.g.Failback(p, r.main, netlink.New(r.env, link)); err != nil {
+			t.Error(err)
+			return
+		}
+		tv.Write(p, 201, fill(r.backup, 0x5B)) // replicates in reverse
+		rev.CatchUp(p)
+		rev.Stop()
+	})
+	r.env.Run(0)
+	if t.Failed() {
+		return
+	}
+	if rev.Lanes() != 1 {
+		t.Fatalf("reverse group has %d lanes, want 1", rev.Lanes())
+	}
+	if _, err := r.main.ShardedJournal("cg"); err == nil {
+		t.Fatal("stranded journal survived the failback")
+	}
+	for _, id := range r.vols {
+		mv, _ := r.main.Volume(id)
+		bv, _ := r.backup.Volume(id)
+		for _, b := range append(mv.WrittenBlocks(), bv.WrittenBlocks()...) {
+			if !bytes.Equal(mv.Peek(b), bv.Peek(b)) {
+				t.Fatalf("volume %s block %d differs between the restored main site and the backup", id, b)
+			}
+		}
 	}
 }

@@ -4,29 +4,25 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
 // overflowRig builds a pair whose journal holds only a few records.
-func overflowRig(t *testing.T) (*rig, *Group) {
+func overflowRig(t *testing.T) (*rig, *ShardedGroup) {
 	t.Helper()
 	r := newRig(t, netlink.Config{Propagation: 2 * time.Millisecond})
 	blockSize := r.main.Config().BlockSize
-	j, err := r.main.CreateJournalSized("cg", 4*(blockSize+64+64)) // ~4 records
+	j, err := r.main.CreateShardedConsistencyGroupSized("cg", []storage.VolumeID{"sales", "stock"}, 1,
+		4*(blockSize+64+64)) // ~4 records
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.main.AttachJournal("sales", "cg"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.main.AttachJournal("stock", "cg"); err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroup(r.env, "cg", j, r.backup,
+	g, err := NewShardedGroup(r.env, "cg", j, r.backup,
 		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "stock"},
-		r.links.Forward, Config{})
+		[]fabric.Path{r.links.Forward}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +147,7 @@ func TestResyncConvergesUnderConcurrentWrites(t *testing.T) {
 
 func TestUnlimitedJournalNeverOverflows(t *testing.T) {
 	r := newRig(t, netlink.Config{Propagation: time.Millisecond})
-	g := r.newCG(t, Config{}) // CreateConsistencyGroup = unlimited journal
+	g := r.newCG(t, Config{}) // unsized group = unlimited journal
 	r.env.Process("io", func(p *sim.Proc) {
 		for i := int64(0); i < 200; i++ {
 			r.sales.Write(p, i%256, fill(r.main, 1))

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/netlink"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -46,15 +47,24 @@ func newRig(t *testing.T, linkCfg netlink.Config) *rig {
 	}
 }
 
-func (r *rig) newCG(t *testing.T, cfg Config) *Group {
+func (r *rig) newCG(t *testing.T, cfg Config) *ShardedGroup {
 	t.Helper()
-	j, err := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"})
+	return newOneLane(t, r.main, r.backup, "cg", r.links.Forward, cfg, "sales", "stock")
+}
+
+// newOneLane builds a plain consistency group: a one-shard journal over vols
+// on src, drained on one lane over path into identically named targets.
+func newOneLane(t *testing.T, src, target *storage.Array, id string, path fabric.Path, cfg Config, vols ...storage.VolumeID) *ShardedGroup {
+	t.Helper()
+	j, err := src.CreateShardedConsistencyGroup(id, vols, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGroup(r.env, "cg", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "stock"},
-		r.links.Forward, cfg)
+	mapping := make(map[storage.VolumeID]storage.VolumeID, len(vols))
+	for _, v := range vols {
+		mapping[v] = v
+	}
+	g, err := NewShardedGroup(src.Env(), id, j, target, mapping, []fabric.Path{path}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +81,14 @@ func fill(a *storage.Array, b byte) []byte {
 
 func TestNewGroupValidatesMapping(t *testing.T) {
 	r := newRig(t, netlink.Config{})
-	j, _ := r.main.CreateConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"})
-	if _, err := NewGroup(r.env, "g", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, r.links.Forward, Config{}); err == nil {
+	j, _ := r.main.CreateShardedConsistencyGroup("cg", []storage.VolumeID{"sales", "stock"}, 1)
+	paths := []fabric.Path{r.links.Forward}
+	if _, err := NewShardedGroup(r.env, "g", j, r.backup,
+		map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, paths, Config{}); err == nil {
 		t.Fatal("missing mapping accepted")
 	}
-	if _, err := NewGroup(r.env, "g", j, r.backup,
-		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "nope"}, r.links.Forward, Config{}); err == nil {
+	if _, err := NewShardedGroup(r.env, "g", j, r.backup,
+		map[storage.VolumeID]storage.VolumeID{"sales": "sales", "stock": "nope"}, paths, Config{}); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -107,8 +118,8 @@ func TestADCDrainsInOrder(t *testing.T) {
 			t.Fatalf("apply order broken: %v", log)
 		}
 	}
-	if g.AppliedSeq() != 3 || g.Backlog() != 0 {
-		t.Fatalf("appliedSeq=%d backlog=%d", g.AppliedSeq(), g.Backlog())
+	if g.DirectApplied() != 3 || g.Backlog() != 0 {
+		t.Fatalf("directApplied=%d backlog=%d", g.DirectApplied(), g.Backlog())
 	}
 	g.Stop()
 }
@@ -221,6 +232,56 @@ func TestRPOGrowsWhilePartitionedAndRecovers(t *testing.T) {
 	g.Stop()
 }
 
+// TestRPOCountsInFlightAfterIdle: RPO is the age of the oldest acked record
+// not yet applied. After a long idle spell, one write in flight exposes
+// only its own age, not the time since the last apply.
+func TestRPOCountsInFlightAfterIdle(t *testing.T) {
+	r := newRig(t, netlink.Config{Propagation: 100 * time.Millisecond})
+	g := r.newCG(t, Config{})
+	g.Start()
+	var rpo, age time.Duration
+	r.env.Process("io", func(p *sim.Proc) {
+		p.Sleep(2 * time.Second)
+		ack, _ := r.sales.Write(p, 0, fill(r.main, 1))
+		p.Sleep(50 * time.Millisecond)
+		if g.Backlog() != 1 || g.Journal().Pending() != 0 {
+			t.Errorf("write not in flight: backlog=%d pending=%d", g.Backlog(), g.Journal().Pending())
+		}
+		rpo, age = g.RPO(p.Now()), p.Now()-ack.AckedAt
+		g.CatchUp(p)
+	})
+	r.env.Run(0)
+	if rpo <= 0 || rpo > age {
+		t.Fatalf("RPO with one write in flight = %v, want (0, %v]", rpo, age)
+	}
+	g.Stop()
+}
+
+// TestRPOCountsInFlightBehindBacklog: with a batch in flight and a newer
+// record pending, the exposure is the in-flight batch's oldest record.
+func TestRPOCountsInFlightBehindBacklog(t *testing.T) {
+	r := newRig(t, netlink.Config{Propagation: 100 * time.Millisecond})
+	g := r.newCG(t, Config{BatchMax: 1})
+	g.Start()
+	var rpo, age time.Duration
+	r.env.Process("io", func(p *sim.Proc) {
+		first, _ := r.sales.Write(p, 0, fill(r.main, 1))
+		p.Sleep(20 * time.Millisecond)
+		r.sales.Write(p, 1, fill(r.main, 2))
+		p.Sleep(20 * time.Millisecond)
+		if g.Backlog() != 2 || g.Journal().Pending() != 1 {
+			t.Errorf("want one in flight, one pending: backlog=%d pending=%d", g.Backlog(), g.Journal().Pending())
+		}
+		rpo, age = g.RPO(p.Now()), p.Now()-first.AckedAt
+		g.CatchUp(p)
+	})
+	r.env.Run(0)
+	if rpo < age {
+		t.Fatalf("RPO = %v, want >= %v (the in-flight record's age)", rpo, age)
+	}
+	g.Stop()
+}
+
 func TestBacklogCountsPendingAndInflight(t *testing.T) {
 	r := newRig(t, netlink.Config{Propagation: 100 * time.Millisecond})
 	g := r.newCG(t, Config{BatchMax: 1})
@@ -310,10 +371,8 @@ func TestPerVolumeGroupsDivergeWithoutCG(t *testing.T) {
 		a.CreateVolume("stock", 4096)
 	}
 	links := netlink.NewPair(env, netlink.Config{Propagation: 5 * time.Millisecond, BandwidthBps: 2e6})
-	js, _ := main.CreateConsistencyGroup("j-sales", []storage.VolumeID{"sales"})
-	jk, _ := main.CreateConsistencyGroup("j-stock", []storage.VolumeID{"stock"})
-	gs, _ := NewGroup(env, "g-sales", js, backup, map[storage.VolumeID]storage.VolumeID{"sales": "sales"}, links.Forward, Config{BatchMax: 8})
-	gk, _ := NewGroup(env, "g-stock", jk, backup, map[storage.VolumeID]storage.VolumeID{"stock": "stock"}, links.Forward, Config{BatchMax: 8})
+	gs := newOneLane(t, main, backup, "g-sales", links.Forward, Config{BatchMax: 8}, "sales")
+	gk := newOneLane(t, main, backup, "g-stock", links.Forward, Config{BatchMax: 8}, "stock")
 	gs.Start()
 	gk.Start()
 	sales, _ := main.Volume("sales")
@@ -357,8 +416,7 @@ func TestBatchSizeAffectsTransferCount(t *testing.T) {
 		main.CreateVolume("v", 1024)
 		backup.CreateVolume("v", 1024)
 		link := netlink.New(env, netlink.Config{Propagation: 10 * time.Millisecond})
-		j, _ := main.CreateConsistencyGroup("j", []storage.VolumeID{"v"})
-		g, _ := NewGroup(env, "g", j, backup, map[storage.VolumeID]storage.VolumeID{"v": "v"}, link, Config{BatchMax: batch})
+		g := newOneLane(t, main, backup, "g", link, Config{BatchMax: batch}, "v")
 		v, _ := main.Volume("v")
 		env.Process("io", func(p *sim.Proc) {
 			for i := int64(0); i < 100; i++ {

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/fabric"
@@ -10,20 +9,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrReshardUnsupported reports a live Reshard request on an engine that
-// cannot reconfigure its lane set in place. The plain single-lane Group is
-// the only such engine: a 1→N transition instead goes through a planned
-// handoff (Group.Detach, storage.Array.ConvertToSharded, a fresh
-// ShardedGroup over the adopted journal) — the replication plugin drives
-// that sequence.
-var ErrReshardUnsupported = errors.New("replication: engine does not support live reshard")
-
-// Replicator is the control-plane-facing surface of an ADC engine. Two
-// implementations exist: Group drains one shared journal on one lane (the
-// paper's configuration), ShardedGroup drains a sharded journal on one lane
-// per shard with epoch barriers for cross-shard ordering. The replication
-// plugin, core, and fleet operate on this interface so a consistency group
-// can switch engines via the JournalShards knob without touching callers.
+// Replicator is the control-plane-facing surface of the ADC engine. The
+// replication plugin, core, fleet and the chaos sweep operate on it; every
+// implementation is a ShardedGroup.
 type Replicator interface {
 	Name() string
 	Start()
@@ -42,48 +30,41 @@ type Replicator interface {
 	AppliedBytes() int64
 	ApplyLog() []storage.Record
 	UnappliedRecords() []storage.Record
+	// DirectApplied and CommittedEpoch locate the commit boundary the
+	// invariants check: the leading DirectApplied records of ApplyLog were
+	// applied by the one-lane path, the rest by epoch commits.
+	DirectApplied() int
+	CommittedEpoch() int64
 
 	// Members returns the consistency group's volumes in attach order.
 	Members() []storage.VolumeID
 	Mapping() map[storage.VolumeID]storage.VolumeID
-	// JournalID names the source journal (the group journal for sharded
-	// engines; its shards carry derived IDs).
+	// JournalID names the source journal (its shards carry derived IDs).
 	JournalID() string
 
-	// Lanes returns the engine's active drain-lane count (1 for the plain
-	// engine). The reconcile loop diffs it against the declared shard count
-	// to detect reshard work.
+	// Lanes returns the engine's active drain-lane count. The reconcile
+	// loop diffs it against the declared shard count to detect reshard
+	// work.
 	Lanes() int
 	// Reshard transitions the engine to len(paths) drain lanes via an
 	// epoch-bounded live migration (lane k drains shard k over paths[k]).
-	// Engines that cannot reconfigure in place return ErrReshardUnsupported.
 	Reshard(p *sim.Proc, paths []fabric.Path) (storage.ReshardStats, error)
+	// Resharding reports whether a migration window is still open.
+	Resharding() bool
+
+	// Suspended reports whether the journal overflowed; Resync recovers.
+	Suspended() bool
+	Resync(p *sim.Proc, source *storage.Array, maxPasses int) error
 
 	Failover() ([]*storage.Volume, error)
 	FailedOver() bool
+	// Failback resynchronizes the original source from the failed-over
+	// targets and starts a one-lane reverse group.
+	Failback(p *sim.Proc, source *storage.Array, reversePath fabric.Path) (*ShardedGroup, FailbackStats, error)
 
 	// Instrument registers the engine's telemetry probes (RPO, backlog,
 	// lane state) under the tenant label. No-op when reg is nil.
 	Instrument(reg *telemetry.Registry, tenant string)
 }
 
-var (
-	_ Replicator = (*Group)(nil)
-	_ Replicator = (*ShardedGroup)(nil)
-)
-
-// Members returns the journal's member volumes (the consistency-group
-// membership), in attach order.
-func (g *Group) Members() []storage.VolumeID { return g.journal.Members() }
-
-// JournalID returns the source journal's identifier.
-func (g *Group) JournalID() string { return g.journal.ID() }
-
-// Lanes returns 1: the plain engine drains on a single lane.
-func (g *Group) Lanes() int { return 1 }
-
-// Reshard on the plain engine is unsupported — the control plane upgrades
-// to a sharded engine instead (Detach + ConvertToSharded + NewShardedGroup).
-func (g *Group) Reshard(p *sim.Proc, paths []fabric.Path) (storage.ReshardStats, error) {
-	return storage.ReshardStats{}, ErrReshardUnsupported
-}
+var _ Replicator = (*ShardedGroup)(nil)

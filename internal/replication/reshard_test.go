@@ -2,7 +2,6 @@ package replication
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -114,10 +113,8 @@ func TestLiveReshardShrinkReapsRetiredLanes(t *testing.T) {
 	if r.g.Lanes() != 2 || len(r.g.retiring) != 0 {
 		t.Fatalf("lanes=%d retiring=%d after settle", r.g.Lanes(), len(r.g.retiring))
 	}
-	for _, k := range []int{2, 3} {
-		if _, err := r.main.Journal(fmt.Sprintf("cg#s%d", k)); err == nil {
-			t.Fatalf("retired shard journal cg#s%d still on the array", k)
-		}
+	if u := r.main.Usage(); u.Journals != 2 {
+		t.Fatalf("%d shard journals on the array, want the 2 survivors", u.Journals)
 	}
 	if len(r.sj.Retired()) != 0 {
 		t.Fatal("storage still lists retired shards")
@@ -207,100 +204,108 @@ func TestReshardSameCountIsNoop(t *testing.T) {
 	}
 }
 
-// TestDetachHandsOffWithoutLoss upgrades a plain group mid-drain: Detach
-// must finish the in-flight batch (no disaster-split loss), the adopted
-// journal plus a fresh sharded engine must then drain the remainder, and
-// the final image must be complete.
-func TestDetachHandsOffWithoutLoss(t *testing.T) {
-	env := sim.NewEnv(1)
-	main := storage.NewArray(env, "main", storage.Config{})
-	backup := storage.NewArray(env, "backup", storage.Config{})
-	var vols []storage.VolumeID
-	mapping := make(map[storage.VolumeID]storage.VolumeID)
-	for i := 0; i < 8; i++ {
-		id := storage.VolumeID(fmt.Sprintf("vol-%02d", i))
-		for _, a := range []*storage.Array{main, backup} {
-			if _, err := a.CreateVolume(id, 256); err != nil {
-				t.Fatal(err)
-			}
-		}
-		vols = append(vols, id)
-		mapping[id] = id
-	}
-	jnl, err := main.CreateConsistencyGroup("cg", vols)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestReshardOneLaneInPlaceWithoutLoss reshards a one-lane group 1->4 while
+// a batch is in flight on the thin link: nothing is lost or applied twice,
+// the epoch coordinator takes over every commit after the direct applies,
+// and the drain converges to the exact source image.
+func TestReshardOneLaneInPlaceWithoutLoss(t *testing.T) {
 	link := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
-	g, err := NewGroup(env, "cg", jnl, backup, mapping, netlink.NewPair(env, link).Forward, Config{BatchMax: 8})
-	if err != nil {
-		t.Fatal(err)
+	r := newShardedRig(t, 1, 8, link, Config{BatchMax: 8})
+	if r.g.coordinated {
+		t.Fatal("a one-lane group started with a coordinator")
 	}
-	g.Start()
+	r.g.Start()
 	const writes = 128
-	env.Process("driver", func(p *sim.Proc) {
-		buf := make([]byte, main.Config().BlockSize)
+	var inflight, directBefore int
+	r.env.Process("driver", func(p *sim.Proc) {
 		for i := 0; i < writes; i++ {
-			v, _ := main.Volume(vols[i%len(vols)])
-			if _, err := v.Write(p, int64(i/len(vols)), buf); err != nil {
-				t.Error(err)
-				return
-			}
+			r.seqWrite(p, t, i)
 		}
-		// Detach mid-drain: a batch is in flight on the thin link.
-		if err := g.Detach(p); err != nil {
-			t.Errorf("detach: %v", err)
-			return
-		}
-		if len(g.lost) != 0 {
-			t.Errorf("detach lost %d records", len(g.lost))
-		}
-		if got := g.AppliedRecords() + int64(jnl.Pending()); got != writes {
-			t.Errorf("applied %d + pending %d != %d writes", g.AppliedRecords(), jnl.Pending(), writes)
-		}
-		// Adopt the journal into a sharded engine and drain the rest.
-		sj, err := main.ConvertToSharded("cg")
-		if err != nil {
-			t.Errorf("convert: %v", err)
-			return
-		}
-		sg, err := NewShardedGroup(env, "cg-sharded", sj, backup, mapping, lanePaths(env, 1, link), Config{BatchMax: 8})
-		if err != nil {
-			t.Errorf("new sharded: %v", err)
-			return
-		}
-		sg.Start()
-		if _, err := sg.Reshard(p, lanePaths(env, 4, link)); err != nil {
+		inflight, directBefore = r.g.lanes[0].inflight, r.g.DirectApplied()
+		if _, err := r.g.Reshard(p, lanePaths(r.env, 4, link)); err != nil {
 			t.Errorf("reshard: %v", err)
 			return
 		}
-		if !sg.AwaitReshard(p) || !sg.CatchUp(p) {
-			t.Error("adopted engine never caught up")
+		if !r.g.AwaitReshard(p) || !r.g.CatchUp(p) {
+			t.Error("resharded group never caught up")
 		}
-		sg.Stop()
 	})
-	env.Run(0)
+	r.env.Run(0)
 	if t.Failed() {
 		return
 	}
-	for _, id := range vols {
-		sv, _ := main.Volume(id)
-		tv, _ := backup.Volume(id)
-		if len(sv.WrittenBlocks()) != len(tv.WrittenBlocks()) {
-			t.Fatalf("volume %s: %d source blocks, %d backup blocks", id, len(sv.WrittenBlocks()), len(tv.WrittenBlocks()))
+	if inflight == 0 {
+		t.Fatal("fixture resharded with no batch in flight")
+	}
+	if !r.g.coordinated || r.g.Lanes() != 4 || len(r.g.lost) != 0 {
+		t.Fatalf("coordinated=%v lanes=%d lost=%d", r.g.coordinated, r.g.Lanes(), len(r.g.lost))
+	}
+	log := r.g.ApplyLog()
+	if len(log) != writes || r.g.DirectApplied() < directBefore {
+		t.Fatalf("applied %d records (%d directly, %d before the reshard), want each of %d once",
+			len(log), r.g.DirectApplied(), directBefore, writes)
+	}
+	for i, rec := range log[:r.g.DirectApplied()] {
+		if rec.Seq != int64(i+1) {
+			t.Fatalf("direct apply %d has seq %d", i, rec.Seq)
 		}
 	}
-	// A second detach is idempotent; a stopped group refuses.
-	env.Process("again", func(p *sim.Proc) {
-		if err := g.Detach(p); err != nil {
-			t.Errorf("second detach: %v", err)
+	for _, rec := range log[r.g.DirectApplied():] {
+		if rec.Epoch > r.g.CommittedEpoch() {
+			t.Fatalf("record of epoch %d past committed %d", rec.Epoch, r.g.CommittedEpoch())
 		}
-		g.Stop()
-		if err := g.Detach(p); !errors.Is(err, ErrStopped) {
-			t.Errorf("detach after stop: %v, want ErrStopped", err)
+	}
+	if n, exact := exactPrefix(r.presentSeqs()); n != writes || !exact {
+		t.Fatalf("backup has %d writes (exact=%v), want all %d", n, exact, writes)
+	}
+	r.verifyConverged(t)
+}
+
+// TestReshardRebindsSurvivingLanes: Reshard promises lane k drains over
+// paths[k], surviving lanes included. After a 1->2 and a 2->4 reshard,
+// every lane's next batch crosses the path it was just given.
+func TestReshardRebindsSurvivingLanes(t *testing.T) {
+	link := netlink.Config{Propagation: time.Millisecond, BandwidthBps: 1e8}
+	r := newShardedRig(t, 1, 16, link, Config{BatchMax: 8})
+	r.g.Start()
+	links := func(n int) ([]fabric.Path, []*netlink.Link) {
+		paths := make([]fabric.Path, n)
+		ls := make([]*netlink.Link, n)
+		for k := range paths {
+			ls[k] = netlink.New(r.env, link)
+			paths[k] = ls[k]
 		}
-	})
-	env.Run(0)
+		return paths, ls
+	}
+	next := 0
+	writeAll := func(p *sim.Proc) {
+		for range r.vols {
+			r.seqWrite(p, t, next)
+			next++
+		}
+		r.g.CatchUp(p)
+	}
+	for _, n := range []int{2, 4} {
+		paths, ls := links(n)
+		r.env.Process(fmt.Sprintf("reshard-%d", n), func(p *sim.Proc) {
+			writeAll(p)
+			if _, err := r.g.Reshard(p, paths); err != nil {
+				t.Errorf("reshard to %d: %v", n, err)
+				return
+			}
+			r.g.AwaitReshard(p)
+			writeAll(p)
+		})
+		r.env.Run(0)
+		for k, l := range ls {
+			if l.Transfers() == 0 {
+				t.Errorf("after reshard to %d: lane %d never crossed its new path", n, k)
+			}
+		}
+	}
+	if n, exact := exactPrefix(r.presentSeqs()); n != next || !exact {
+		t.Fatalf("backup has %d writes (exact=%v), want all %d", n, exact, next)
+	}
 }
 
 // TestReshardGuards covers the refusal surface: failed-over and stopped

@@ -11,19 +11,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ShardedGroup replicates one sharded consistency-group journal to target
-// volumes over multiple drain lanes — one per journal shard, each lane on
-// its own fabric path, so a single tenant's drain throughput scales with
-// shard count instead of being capped by one lane.
+// ShardedGroup replicates one consistency-group journal to target volumes
+// asynchronously. It is the only ADC engine: the journal is split into
+// shards, and one drain lane per shard moves records over its own fabric
+// path, so a tenant's drain throughput scales with shard count. A plain
+// consistency group is simply one shard.
 //
-// Correctness protocol (the cross-shard ordering barrier):
+// A group with one lane applies each batch itself: transfer, then the
+// delta-set apply, then install in sequence order. A single shard's batch
+// boundaries are prefixes of its ack order, so the backup image always sits
+// on an exact ack-order prefix and no barrier is needed.
+//
+// Past one lane, an epoch coordinator enforces the cross-shard ordering
+// barrier. It starts when the group is built with more than one lane, or
+// the first time a reshard takes it past one lane, and then stays for the
+// rest of the group's life:
 //
 //  1. every record carries the group epoch open at ack time; sealing an
 //     epoch is atomic, so "all records with epoch <= E" is an exact prefix
 //     of the group's cross-volume ack order;
 //  2. lanes transfer records lane-locally and STAGE them at the target —
 //     staged records are not yet part of the backup image;
-//  3. a coordinator seals epochs whenever there is backlog and, once every
+//  3. the coordinator seals epochs whenever there is backlog and, once every
 //     lane has staged its share of the sealed epoch (the barrier), commits
 //     the whole epoch: the target applies the delta set and exposes it
 //     atomically. The backup image therefore always sits exactly on an
@@ -48,8 +57,9 @@ type ShardedGroup struct {
 	stopped      bool
 	failedOver   bool
 	started      bool
+	coordinated  bool       // the epoch coordinator owns commits (never cleared)
 	progress     *sim.Event // pulsed by lanes as they stage; the barrier wait
-	committed    *sim.Event // pulsed per epoch commit; CatchUp waits on it
+	committed    *sim.Event // pulsed per epoch commit or idle direct lane; CatchUp waits on it
 	reconfigured *sim.Event // pulsed by Reshard; wakes the coordinator onto the new lane set
 
 	// Reshard state. While resharding is set, one volume's staged records
@@ -63,13 +73,13 @@ type ShardedGroup struct {
 	reshardSettled   *sim.Event // re-armed per reshard; AwaitReshard waits on it
 	reshards         int64
 
-	committedEpoch   int64
-	epochCommits     int64
-	appliedRecords   int64
-	appliedBytes     int64
-	lastCommittedAck time.Duration
-	applyLog         []storage.Record // committed at target, for verification
-	lost             []storage.Record // abandoned mid-transfer by Stop
+	committedEpoch int64
+	epochCommits   int64
+	directApplied  int // leading ApplyLog records applied by the one-lane path
+	appliedRecords int64
+	appliedBytes   int64
+	applyLog       []storage.Record // applied at target, for verification
+	lost           []storage.Record // abandoned in flight by Stop
 
 	// Telemetry (set by Instrument; nil handles no-op when disabled).
 	tel          *telemetry.Registry
@@ -90,7 +100,7 @@ type drainLane struct {
 	batch  []storage.Record // drain scratch, reused across batches
 	staged []storage.Record // transferred, awaiting an epoch commit
 
-	inflight      int           // records mid-transfer on the lane path
+	inflight      int           // records taken but not yet staged or applied
 	inflightEpoch int64         // epoch of the first in-flight record
 	inflightAck   time.Duration // ack time of the first in-flight record
 
@@ -100,8 +110,10 @@ type drainLane struct {
 }
 
 // NewShardedGroup wires a sharded source journal to target volumes. paths
-// carries one fabric path per shard (lane k drains shard k over paths[k]);
-// mapping follows the same contract as NewGroup.
+// carries one fabric path per shard (lane k drains shard k over paths[k]).
+// mapping translates each source volume ID to its backup-site twin; every
+// journal member must be mapped and every mapped target must exist on the
+// target array.
 func NewShardedGroup(env *sim.Env, name string, journal *storage.ShardedJournal, target *storage.Array,
 	mapping map[storage.VolumeID]storage.VolumeID, paths []fabric.Path, cfg Config) (*ShardedGroup, error) {
 	if len(paths) != journal.ShardCount() {
@@ -127,6 +139,7 @@ func NewShardedGroup(env *sim.Env, name string, journal *storage.ShardedJournal,
 		target:         target,
 		mapping:        m,
 		cfg:            cfg.withDefaults(),
+		coordinated:    journal.ShardCount() > 1,
 		stopEv:         env.NewEvent(),
 		progress:       env.NewEvent(),
 		committed:      env.NewEvent(),
@@ -163,47 +176,82 @@ func (g *ShardedGroup) Members() []storage.VolumeID { return g.journal.Members()
 // retiring lanes mid-reshard are excluded.
 func (g *ShardedGroup) Lanes() int { return len(g.lanes) }
 
-// InitialCopy performs the ADC initialization bulk copy: every written
-// block of every source volume is transferred — over the volume's own lane
-// path — and applied to its target.
+// InitialCopy performs the ADC initialization bulk copy (§III-A1): every
+// written block of every source volume is transferred — over the volume's
+// own lane path — and applied to its target. Writes that land during the
+// copy flow through the journal and are applied afterwards by the drain, so
+// the target converges to a consistent image. source must be the array
+// owning the journal volumes.
 func (g *ShardedGroup) InitialCopy(p *sim.Proc, source *storage.Array) error {
 	for _, src := range g.journal.Members() {
-		sv, err := source.Volume(src)
+		sv, tv, err := g.pair(source, src)
 		if err != nil {
 			return err
 		}
-		tv, err := g.target.Volume(g.mapping[src])
-		if err != nil {
+		if err := g.bulkCopy(p, src, sv, tv, sv.WrittenBlocks()); err != nil {
 			return err
-		}
-		path := g.lanes[g.journal.ShardIndexOf(src)].path
-		for _, b := range sv.WrittenBlocks() {
-			data := sv.Peek(b)
-			path.Transfer(p, len(data)+64)
-			if err := tv.Apply(p, b, data); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// Start launches one drain process per lane plus the epoch coordinator.
+// pair resolves one member's source volume and its target twin.
+func (g *ShardedGroup) pair(source *storage.Array, src storage.VolumeID) (sv, tv *storage.Volume, err error) {
+	if sv, err = source.Volume(src); err != nil {
+		return nil, nil, err
+	}
+	tv, err = g.target.Volume(g.mapping[src])
+	return sv, tv, err
+}
+
+// bulkCopy streams the given blocks of one volume to its target over the
+// volume's lane path in BatchMax-block batches: one link transfer and one
+// delta-set apply per batch instead of one scheduling event per block. The
+// initial copy and resync share it.
+func (g *ShardedGroup) bulkCopy(p *sim.Proc, src storage.VolumeID, sv, tv *storage.Volume, blocks []int64) error {
+	path := g.lanes[g.journal.ShardIndexOf(src)].path
+	for start := 0; start < len(blocks); start += g.cfg.BatchMax {
+		chunk := blocks[start:min(start+g.cfg.BatchMax, len(blocks))]
+		path.Transfer(p, len(chunk)*(sv.BlockSize()+64))
+		g.target.ApplyDeltaSet(p, len(chunk))
+		var err error
+		p.Do(func() {
+			for _, b := range chunk {
+				if err = tv.InstallDelta(b, sv.Peek(b)); err != nil {
+					return
+				}
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Start launches one drain process per lane, plus the epoch coordinator
+// when the group has more than one lane.
 func (g *ShardedGroup) Start() {
 	if g.started {
 		return
 	}
 	g.started = true
 	for _, l := range g.lanes {
-		l := l
-		g.env.Process(fmt.Sprintf("adc-lane:%s:s%d", g.name, l.idx), func(p *sim.Proc) { g.drainLane(p, l) })
+		g.startLane(l)
 	}
-	g.env.Process("adc-epoch:"+g.name, g.coordinate)
+	if g.coordinated {
+		g.env.Process("adc-epoch:"+g.name, g.coordinate)
+	}
 }
 
-// Stop halts the lanes and the coordinator. Staged records that never made
-// it into a committed epoch are lost at the split, exactly like a plain
-// group's in-flight batch.
+func (g *ShardedGroup) startLane(l *drainLane) {
+	g.env.Process(fmt.Sprintf("adc-lane:%s:s%d", g.name, l.idx), func(p *sim.Proc) { g.drainLane(p, l) })
+}
+
+// Stop halts the lanes and the coordinator after their in-flight step.
+// Pending journal records stay at the main site — exactly the data a
+// disaster would lose (RPO) — and a batch or staged records not yet applied
+// are lost at the split.
 func (g *ShardedGroup) Stop() {
 	if g.stopped {
 		return
@@ -215,16 +263,22 @@ func (g *ShardedGroup) Stop() {
 // Stopped reports whether Stop was called.
 func (g *ShardedGroup) Stopped() bool { return g.stopped }
 
-// drainLane moves one shard's records across the lane's path and stages
-// them for the next epoch commit.
+// drainLane moves one shard's records across the lane's path. Without a
+// coordinator the lane applies each batch itself; with one it stages them
+// for the next epoch commit.
 func (g *ShardedGroup) drainLane(p *sim.Proc, l *drainLane) {
 	for {
+		// The batch scratch is reused across iterations; records that
+		// outlive the batch (applyLog, staged, lost) are copied out by value.
 		recs := l.journal.TryTakeInto(l.batch, g.cfg.BatchMax)
 		if recs != nil {
 			l.batch = recs
 		}
 		if recs == nil {
 			g.pulseProgress()
+			if !g.coordinated {
+				g.pulseCommitted() // a direct lane with an empty shard is caught up
+			}
 			switch p.WaitAny(l.journal.NotEmpty(), g.stopEv, l.retire) {
 			case 1:
 				return
@@ -251,10 +305,44 @@ func (g *ShardedGroup) drainLane(p *sim.Proc, l *drainLane) {
 			l.inflight = 0
 			return
 		}
+		if !g.coordinated {
+			if !g.applyDirect(p, l, recs) {
+				return
+			}
+			continue
+		}
 		l.staged = append(l.staged, recs...)
 		l.inflight = 0
 		g.pulseProgress()
 	}
+}
+
+// applyDirect is the one-lane commit: the batch is a prefix of the shard's
+// ack order, charged in one delta-set apply and then installed at zero cost
+// in sequence order, so loss at a split is batch-atomic and the target
+// always holds an exact prefix of batch boundaries. A reshard that starts
+// the coordinator during the transfer makes the lane stage the batch
+// instead; one that lands during the apply cannot commit past it, because
+// the in-flight batch holds the lane's staged-through epoch below every
+// sealed epoch. It reports false when a stop split the pair mid-apply.
+func (g *ShardedGroup) applyDirect(p *sim.Proc, l *drainLane, recs []storage.Record) bool {
+	g.target.ApplyDeltaSet(p, len(recs))
+	if g.stopped {
+		g.lost = append(g.lost, recs...)
+		l.inflight = 0
+		return false
+	}
+	p.Do(func() {
+		for _, r := range recs {
+			g.install(r)
+			g.appliedBytes += int64(len(r.Data))
+		}
+		g.appliedRecords += int64(len(recs))
+		g.directApplied += len(recs)
+		l.inflight = 0
+	})
+	g.pulseProgress()
+	return true
 }
 
 // stagedThrough returns the highest epoch the lane has fully staged: no
@@ -425,12 +513,10 @@ func (g *ShardedGroup) commitEpoch(p *sim.Proc, sealed int64) {
 	g.appliedBytes += bytes
 	g.committedEpoch = sealed
 	g.epochCommits++
-	if !g.committed.Triggered() {
-		g.committed.Trigger()
-	}
+	g.pulseCommitted()
 }
 
-// install writes one committed record into its target volume.
+// install writes one applied record into its target volume.
 func (g *ShardedGroup) install(r storage.Record) {
 	tv, err := g.target.Volume(g.mapping[r.Volume])
 	if err != nil {
@@ -438,9 +524,6 @@ func (g *ShardedGroup) install(r storage.Record) {
 	}
 	if err := tv.InstallDelta(r.Block, r.Data); err != nil {
 		panic(fmt.Sprintf("replication %s: commit: %v", g.name, err))
-	}
-	if r.AckedAt > g.lastCommittedAck {
-		g.lastCommittedAck = r.AckedAt
 	}
 	g.applyLog = append(g.applyLog, r)
 }
@@ -456,6 +539,12 @@ func (g *ShardedGroup) progressEv() *sim.Event {
 		g.progress = g.env.NewEvent()
 	}
 	return g.progress
+}
+
+func (g *ShardedGroup) pulseCommitted() {
+	if !g.committed.Triggered() {
+		g.committed.Trigger()
+	}
 }
 
 func (g *ShardedGroup) committedEv() *sim.Event {
@@ -503,8 +592,10 @@ func (g *ShardedGroup) CatchUp(p *sim.Proc) bool {
 	return true
 }
 
-// RPO returns how far the committed backup image lags the newest main-site
-// ack at virtual time now. Zero when fully caught up.
+// RPO returns the recovery-point exposure at virtual time now: the age of
+// the oldest acked record not yet applied at the target, wherever it sits
+// (journal backlog, in flight on a lane, or staged awaiting a commit). Zero
+// when fully caught up.
 func (g *ShardedGroup) RPO(now time.Duration) time.Duration {
 	var oldest time.Duration
 	found := false
@@ -533,8 +624,14 @@ func (g *ShardedGroup) RPO(now time.Duration) time.Duration {
 // Backlog returns the number of records not yet committed at the target.
 func (g *ShardedGroup) Backlog() int { return g.backlogRecords() }
 
-// CommittedEpoch returns the highest epoch exposed at the target.
+// CommittedEpoch returns the highest epoch the coordinator exposed at the
+// target (zero while the group applies on one lane without a coordinator).
 func (g *ShardedGroup) CommittedEpoch() int64 { return g.committedEpoch }
+
+// DirectApplied returns how many records the one-lane path applied without
+// a coordinator. They are the leading records of ApplyLog; every later one
+// was committed by an epoch.
+func (g *ShardedGroup) DirectApplied() int { return g.directApplied }
 
 // EpochCommits returns how many consistency cuts the coordinator declared.
 func (g *ShardedGroup) EpochCommits() int64 { return g.epochCommits }
@@ -545,9 +642,10 @@ func (g *ShardedGroup) AppliedRecords() int64 { return g.appliedRecords }
 // AppliedBytes returns the lifetime payload bytes committed.
 func (g *ShardedGroup) AppliedBytes() int64 { return g.appliedBytes }
 
-// ApplyLog returns the records committed at the target in commit order:
-// epoch by epoch, lane by lane within an epoch, shard-sequence order within
-// a lane. The consistency verifier reads it; callers must not mutate it.
+// ApplyLog returns the records applied at the target in apply order: the
+// one-lane path's batches in shard-sequence order, then epoch by epoch,
+// lane by lane within an epoch, shard-sequence order within a lane. The
+// consistency verifier reads it; callers must not mutate it.
 func (g *ShardedGroup) ApplyLog() []storage.Record { return g.applyLog }
 
 // UnappliedRecords returns every record acknowledged at the source but not
@@ -577,10 +675,12 @@ func (g *ShardedGroup) Mapping() map[storage.VolumeID]storage.VolumeID {
 //  1. the journal seals the open epoch as the migration barrier and
 //     re-places volumes (migrating only those whose stable-hash assignment
 //     changes, their pending records moving with them);
-//  2. lanes whose shard survives keep draining untouched; lanes for added
-//     shards start immediately on their own paths; lanes of retired shards
-//     stop taking (their journals are empty after migration) and only live
-//     on to commit what they had staged or in flight;
+//  2. lanes whose shard survives keep draining, their next batch over the
+//     paths[k] given here; lanes for added shards start immediately on their
+//     own paths; lanes of retired shards stop taking (their journals are
+//     empty after migration) and only live on to commit what they had
+//     staged or in flight. The first reshard past one lane starts the epoch
+//     coordinator;
 //  3. until every pre-barrier record is committed, epoch commits apply in
 //     global ack order (see commitEpoch) — so the backup image remains an
 //     exact ack-order prefix throughout, and a failover raced into the
@@ -622,6 +722,9 @@ func (g *ShardedGroup) Reshard(p *sim.Proc, paths []fabric.Path) (storage.Reshar
 	}
 
 	shards := g.journal.Shards()
+	for k := 0; k < min(len(shards), len(g.lanes)); k++ {
+		g.lanes[k].path = paths[k]
+	}
 	if len(shards) < len(g.lanes) {
 		// Shrink: lanes beyond the new shard set retire. Their journals are
 		// already empty (migration moved the backlog), so they exit as soon
@@ -633,7 +736,13 @@ func (g *ShardedGroup) Reshard(p *sim.Proc, paths []fabric.Path) (storage.Reshar
 		l := g.newLane(k, shards[k], paths[k])
 		g.lanes = append(g.lanes, l)
 		if g.started {
-			g.env.Process(fmt.Sprintf("adc-lane:%s:s%d", g.name, l.idx), func(p *sim.Proc) { g.drainLane(p, l) })
+			g.startLane(l)
+		}
+	}
+	if !g.coordinated && len(g.lanes) > 1 {
+		g.coordinated = true
+		if g.started {
+			g.env.Process("adc-epoch:"+g.name, g.coordinate)
 		}
 	}
 	// Wake the coordinator onto the new lane set; migration may also have
@@ -713,8 +822,10 @@ func (g *ShardedGroup) AwaitReshard(p *sim.Proc) bool {
 }
 
 // Failover stops replication and makes every target volume writable,
-// returning the volumes in journal-member order. The recovered image is the
-// last committed epoch — always a consistent cross-volume cut.
+// returning the volumes in journal-member order. This is the backup-site
+// recovery entry point (§I): the image is whatever has been applied — a
+// batch boundary on one lane, the last committed epoch past one lane, a
+// consistent cross-volume cut either way.
 func (g *ShardedGroup) Failover() ([]*storage.Volume, error) {
 	g.Stop()
 	g.failedOver = true
@@ -725,6 +836,8 @@ func (g *ShardedGroup) Failover() ([]*storage.Volume, error) {
 			return nil, err
 		}
 		tv.SetReadOnly(false)
+		// Record everything the new production site writes from here on —
+		// the delta-resync bitmap Failback copies back.
 		tv.StartChangeTracking()
 		vols = append(vols, tv)
 	}
@@ -733,6 +846,54 @@ func (g *ShardedGroup) Failover() ([]*storage.Volume, error) {
 
 // FailedOver reports whether Failover ran.
 func (g *ShardedGroup) FailedOver() bool { return g.failedOver }
+
+// Suspended reports whether the source journal has overflowed (the pair
+// is suspended and writes are tracked in the delta bitmap instead).
+func (g *ShardedGroup) Suspended() bool { return g.journal.Overflowed() }
+
+// Resync recovers a suspended pair: it drains the journal's consistent
+// remainder, then copies the tracked delta blocks until a full pass finds
+// nothing new, and finally re-enables journaling. During the block-level
+// copy the target is NOT point-in-time consistent (which is why operators
+// snapshot the target before resyncing — exactly the demo's snapshot
+// group). maxPasses bounds convergence under continuous write load.
+func (g *ShardedGroup) Resync(p *sim.Proc, source *storage.Array, maxPasses int) error {
+	if !g.journal.Overflowed() {
+		return nil
+	}
+	if maxPasses <= 0 {
+		maxPasses = 10
+	}
+	g.CatchUp(p)
+	for pass := 0; pass < maxPasses; pass++ {
+		copied := false
+		for _, src := range g.journal.Members() {
+			sv, tv, err := g.pair(source, src)
+			if err != nil {
+				return err
+			}
+			blocks := sv.ChangedBlocks()
+			if len(blocks) == 0 {
+				continue
+			}
+			// Reset tracking so writes landing during this copy are
+			// caught by the next pass.
+			sv.StartChangeTracking()
+			if err := g.bulkCopy(p, src, sv, tv, blocks); err != nil {
+				return fmt.Errorf("replication %s: resync %s: %w", g.name, src, err)
+			}
+			copied = true
+		}
+		if !copied {
+			// Quiet pass: nothing dirtied since the last reset. No time
+			// passes between this check and ClearOverflow, so no write
+			// can slip between them.
+			g.journal.ClearOverflow()
+			return nil
+		}
+	}
+	return fmt.Errorf("replication %s: resync did not converge in %d passes", g.name, maxPasses)
+}
 
 func (g *ShardedGroup) String() string {
 	return fmt.Sprintf("ShardedADCGroup(%s){lanes=%d epoch=%d committed=%d backlog=%d}",

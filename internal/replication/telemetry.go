@@ -2,31 +2,13 @@ package replication
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/telemetry"
-	"time"
 )
 
-// Instrument registers the plain engine's telemetry probes: the tenant's
-// RPO and drain backlog, sampled on the virtual clock. Probes self-gate —
-// they stop reporting once the engine stops or detaches, ending the
-// tenant's timeline instead of recording a frozen exposure forever. No-op
-// when reg is nil.
-func (g *Group) Instrument(reg *telemetry.Registry, tenant string) {
-	if reg == nil {
-		return
-	}
-	live := func() bool { return !g.stopped && !g.detached }
-	reg.Probe("rpo", func(now time.Duration) (float64, bool) {
-		return float64(g.RPO(now)), live()
-	}, telemetry.L("tenant", tenant))
-	reg.Probe("backlog.records", func(time.Duration) (float64, bool) {
-		return float64(g.Backlog()), live()
-	}, telemetry.L("tenant", tenant))
-}
-
-// Instrument registers the sharded engine's telemetry: the tenant's RPO and
-// total backlog, per-lane staged bytes and shard backlog, an epoch
+// Instrument registers the engine's telemetry: the tenant's RPO and total
+// backlog, per-lane staged bytes and shard backlog, an epoch
 // seal-to-commit latency histogram, and spans over epoch drains and reshard
 // migration windows. Lanes added by a later Reshard register their probes
 // on creation; retiring lanes stop reporting once reaped. No-op when reg is

@@ -1,8 +1,8 @@
 // Package storage models an enterprise external storage array of the kind
 // the paper demonstrates on (Hitachi VSP G370): block volumes behind a
 // controller, journal volumes feeding asynchronous replication, consistency
-// groups that share one journal across volumes, and copy-on-write snapshots
-// with group-atomic snapshot creation.
+// groups that share one (possibly sharded) journal across volumes, and
+// copy-on-write snapshots with group-atomic snapshot creation.
 //
 // The properties the paper's claims rest on are modelled exactly:
 //
@@ -199,36 +199,8 @@ func (a *Array) ListVolumes() []VolumeID {
 	return ids
 }
 
-// CreateJournal provisions an unbounded journal volume. Replication
-// engines drain it.
-func (a *Array) CreateJournal(id string) (*Journal, error) {
-	return a.CreateJournalSized(id, 0)
-}
-
-// CreateJournalSized provisions a journal volume with a finite capacity in
-// bytes (0 = unlimited). When the backlog would exceed the capacity the
-// journal overflows and the pair suspends — the real-array behaviour an
-// undersized journal volume causes under link outages.
-func (a *Array) CreateJournalSized(id string, capacityBytes int) (*Journal, error) {
-	if _, ok := a.journals[id]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrJournalExists, id)
-	}
-	j := newJournal(a.env, a, id, capacityBytes)
-	a.journals[id] = j
-	return j, nil
-}
-
-// Journal returns the journal with the given ID.
-func (a *Array) Journal(id string) (*Journal, error) {
-	j, ok := a.journals[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchJournal, id)
-	}
-	return j, nil
-}
-
-// DeleteJournal removes a journal after detaching all member volumes.
-func (a *Array) DeleteJournal(id string) error {
+// deleteJournal removes a shard journal after detaching all member volumes.
+func (a *Array) deleteJournal(id string) error {
 	j, ok := a.journals[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchJournal, id)
@@ -242,10 +214,11 @@ func (a *Array) DeleteJournal(id string) error {
 	return nil
 }
 
-// AttachJournal routes a volume's future writes into the journal. Attaching
-// several volumes to one journal is exactly the array's consistency-group
-// function: the shared journal serializes their writes in ack order.
-func (a *Array) AttachJournal(vol VolumeID, journalID string) error {
+// attachJournal routes a volume's future writes into a shard journal.
+// Attaching several volumes to one journal is exactly the array's
+// consistency-group function: the shared journal serializes their writes in
+// ack order.
+func (a *Array) attachJournal(vol VolumeID, journalID string) error {
 	v, ok := a.volumes[vol]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchVolume, vol)
@@ -262,8 +235,8 @@ func (a *Array) AttachJournal(vol VolumeID, journalID string) error {
 	return nil
 }
 
-// DetachJournal removes a volume from its journal.
-func (a *Array) DetachJournal(vol VolumeID) error {
+// detachJournal removes a volume from its journal.
+func (a *Array) detachJournal(vol VolumeID) error {
 	v, ok := a.volumes[vol]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchVolume, vol)
@@ -280,29 +253,6 @@ func (a *Array) DetachJournal(vol VolumeID) error {
 	}
 	v.journal = nil
 	return nil
-}
-
-// CreateConsistencyGroup is the convenience management call the replication
-// plugin uses: it provisions one journal and attaches every listed volume.
-func (a *Array) CreateConsistencyGroup(journalID string, vols []VolumeID) (*Journal, error) {
-	j, err := a.CreateJournal(journalID)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range vols {
-		if err := a.AttachJournal(id, journalID); err != nil {
-			// Roll back so a failed call leaves no partial group.
-			for _, done := range vols {
-				if done == id {
-					break
-				}
-				_ = a.DetachJournal(done)
-			}
-			delete(a.journals, journalID)
-			return nil, err
-		}
-	}
-	return j, nil
 }
 
 // ApplyDeltaSet consumes the service time of applying an n-block
@@ -336,7 +286,7 @@ func (a *Array) nextGlobalSeq() int64 {
 // leaked volumes, journals, shards, snapshots, or blocks).
 type Usage struct {
 	Volumes         int
-	Journals        int // includes each sharded journal's member shards
+	Journals        int // shard journals across all consistency groups
 	ShardedJournals int
 	Snapshots       int
 	SnapshotGroups  int
@@ -370,8 +320,8 @@ func (a *Array) Usage() Usage {
 }
 
 // Residue lists every array object still tied to the given ID prefix: a
-// volume whose ID starts with it, a journal (plain or sharded) named with
-// it or still carrying a matching member, a snapshot of a matching volume,
+// volume whose ID starts with it, a shard journal or consistency-group
+// journal named with it or still carrying a matching member, a snapshot of a matching volume,
 // or a snapshot group with a matching member. A fully decommissioned
 // tenant's prefixes must report nothing — the array-level leak check.
 func (a *Array) Residue(prefix string) []string {

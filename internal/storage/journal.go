@@ -8,11 +8,10 @@ import (
 )
 
 // Record is one update log entry in a journal volume: which block of which
-// volume was written, the data, and where the write fell in the journal's
-// ack order (Seq) and the array-wide ack order (GlobalSeq). Records written
-// through a sharded consistency-group journal additionally carry the group
-// Epoch open at ack time — the cross-shard ordering barrier the multi-lane
-// drain commits on. Plain journals leave Epoch zero.
+// volume was written, the data, where the write fell in its shard's ack
+// order (Seq) and the array-wide ack order (GlobalSeq), and the group Epoch
+// open at ack time — the cross-shard ordering barrier the multi-lane drain
+// commits on.
 type Record struct {
 	Seq       int64
 	GlobalSeq int64
@@ -29,18 +28,18 @@ func (r Record) SizeBytes() int { return len(r.Data) + recordHeaderBytes }
 
 const recordHeaderBytes = 64
 
-// Journal is an update-log volume. Volumes attached to the same journal form
-// a consistency group: the journal's Seq numbers define one total order over
-// all their writes, and the backup site applies records strictly in that
-// order.
+// Journal is an update-log volume: one shard of a consistency-group journal
+// (ShardedJournal). Volumes attached to the same shard share its Seq
+// numbers, one total order over all their writes, and the backup site
+// applies each shard's records strictly in that order.
 type Journal struct {
 	env      *sim.Env
 	array    *Array
+	group    *ShardedJournal // appends are stamped with its epoch; overflow fails it closed
 	id       string
 	members  []VolumeID
 	pending  []Record
 	nextSeq  int64
-	ackSeq   int64 // scoped ack order (isolated mode, ungrouped journals)
 	appended int64
 	drained  int64
 	notEmpty *sim.Event
@@ -52,15 +51,11 @@ type Journal struct {
 	capacityBytes int
 	overflowed    bool
 	overflows     int64
-
-	// group is non-nil when this journal is one shard of a sharded
-	// consistency-group journal: appends are stamped with the group epoch,
-	// and an overflow fails the whole group closed, not just this shard.
-	group *ShardedJournal
 }
 
-func newJournal(env *sim.Env, a *Array, id string, capacityBytes int) *Journal {
-	return &Journal{env: env, array: a, id: id, capacityBytes: capacityBytes, notEmpty: env.NewEvent()}
+func newJournal(group *ShardedJournal, id string, capacityBytes int) *Journal {
+	return &Journal{env: group.env, array: group.array, group: group, id: id,
+		capacityBytes: capacityBytes, notEmpty: group.env.NewEvent()}
 }
 
 // ID returns the journal identifier.
@@ -83,48 +78,27 @@ func (j *Journal) Overflows() int64 { return j.overflows }
 // CapacityBytes returns the configured capacity (0 = unlimited).
 func (j *Journal) CapacityBytes() int { return j.capacityBytes }
 
-// SetCapacityBytes re-declares the journal capacity at runtime (0 =
-// unlimited) — the management-API knob a capacity squeeze turns. If the
-// pending backlog already exceeds the new bound the journal overflows
-// immediately: capacity is a promise about the backlog, so shrinking it
-// under an oversized backlog must fail closed rather than leave a journal
-// silently over its declared bound.
-func (j *Journal) SetCapacityBytes(n int) {
-	j.capacityBytes = n
-	if n > 0 && !j.overflowed && j.PendingBytes() > n {
-		j.overflow()
-	}
-}
+// ClearOverflow re-enables journaling on this shard alone. After a resync
+// the group's ShardedJournal.ClearOverflow clears every shard; clearing one
+// shard of an overflowed group breaks the all-or-none contract, which
+// invariants.CheckFailClosedSharded reports.
+func (j *Journal) ClearOverflow() { j.suspend(false) }
 
-// ClearOverflow re-enables journaling after a resync has reconciled the
-// target. The replication engine calls it; see replication.Group.Resync.
-func (j *Journal) ClearOverflow() {
-	j.overflowed = false
+// suspend sets the shard's overflow state: an overflowed shard stops
+// journaling and its member volumes change track, so a later resync can copy
+// exactly the delta; clearing it re-enables journaling after that resync.
+func (j *Journal) suspend(on bool) {
+	if on {
+		j.overflows++
+	}
+	j.overflowed = on
 	for _, id := range j.members {
 		if v, ok := j.array.volumes[id]; ok {
-			v.StopChangeTracking()
-		}
-	}
-}
-
-// overflow suspends the pair: journaling stops and member volumes begin
-// change tracking so a later resync can copy exactly the delta. A shard of a
-// sharded group escalates to the whole group — a partially-journaling group
-// could not replay a consistent cross-shard cut, so it fails closed.
-func (j *Journal) overflow() {
-	if j.group != nil {
-		j.group.overflow()
-		return
-	}
-	j.overflowLocal()
-}
-
-func (j *Journal) overflowLocal() {
-	j.overflowed = true
-	j.overflows++
-	for _, id := range j.members {
-		if v, ok := j.array.volumes[id]; ok {
-			v.StartChangeTracking()
+			if on {
+				v.StartChangeTracking()
+			} else {
+				v.StopChangeTracking()
+			}
 		}
 	}
 }
@@ -133,14 +107,10 @@ func (j *Journal) overflowLocal() {
 // a drain blocked on NotEmpty.
 func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64, now time.Duration) int64 {
 	j.nextSeq++
-	var epoch int64
-	if j.group != nil {
-		epoch = j.group.epoch
-	}
 	j.pending = append(j.pending, Record{
 		Seq:       j.nextSeq,
 		GlobalSeq: globalSeq,
-		Epoch:     epoch,
+		Epoch:     j.group.epoch,
 		Volume:    vol,
 		Block:     block,
 		Data:      data,
@@ -151,17 +121,12 @@ func (j *Journal) append(vol VolumeID, block int64, data []byte, globalSeq int64
 	return j.nextSeq
 }
 
-// nextAckSeq stamps one member write in the journal's scoped ack order
-// (Config.IsolatedVolumes): group-wide for a shard of a sharded journal —
-// cross-shard merges rely on one ascending order per group — else local to
-// this journal.
+// nextAckSeq stamps one member write in the group's scoped ack order
+// (Config.IsolatedVolumes): group-wide, because cross-shard merges rely on
+// one ascending order per group.
 func (j *Journal) nextAckSeq() int64 {
-	if j.group != nil {
-		j.group.ackSeq++
-		return j.group.ackSeq
-	}
-	j.ackSeq++
-	return j.ackSeq
+	j.group.ackSeq++
+	return j.group.ackSeq
 }
 
 // Pending returns the number of records awaiting drain (the backlog).

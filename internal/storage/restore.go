@@ -11,8 +11,9 @@ import (
 // RestoreSnapshot rolls a volume back to a snapshot's point-in-time image —
 // the array-side recovery the paper's §I motivates for cyber-attacks and
 // misoperations: mount yesterday's snapshot group, discard today's damage.
-// The volume must not be attached to a journal (detach before rewinding a
-// replication source, or the rewind itself would replicate as new writes).
+// The volume must not be attached to a journal (delete its consistency
+// group before rewinding a replication source, or the rewind itself would
+// replicate as new writes).
 // The restore consumes media time proportional to the blocks that changed
 // since the snapshot.
 func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
@@ -22,7 +23,7 @@ func (a *Array) RestoreSnapshot(p *sim.Proc, snapID string) error {
 	}
 	v := s.parent
 	if v.journal != nil {
-		return fmt.Errorf("storage: restore %s: volume %s is journal-attached; detach first", snapID, v.id)
+		return fmt.Errorf("storage: restore %s: volume %s is journal-attached; delete its consistency group first", snapID, v.id)
 	}
 	// Only blocks preserved by COW differ from the snapshot image; rewind
 	// exactly those. Other snapshots of the volume observe the rewind as

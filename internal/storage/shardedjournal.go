@@ -22,10 +22,8 @@ import (
 //     ordering barrier — which is what keeps consistency cuts correct even
 //     though lanes drain concurrently.
 //
-// A sharded journal with one shard degenerates to a plain consistency group
-// (one lane, one sequence), but the control plane keeps using Journal
-// directly for that case so the single-journal path stays byte-for-byte
-// unchanged.
+// Every consistency group is a ShardedJournal: a plain group is one shard
+// (one lane, one sequence), whose epoch stays open until a reshard seals it.
 type ShardedJournal struct {
 	env     *sim.Env
 	array   *Array
@@ -105,14 +103,13 @@ func (a *Array) CreateShardedConsistencyGroupSized(id string, vols []VolumeID, s
 		capacityPerShard: capacityPerShard,
 	}
 	for k := 0; k < shards; k++ {
-		j := newJournal(a.env, a, shardJournalID(id, k), capacityPerShard)
-		j.group = sj
+		j := newJournal(sj, shardJournalID(id, k), capacityPerShard)
 		a.journals[j.id] = j
 		sj.shards = append(sj.shards, j)
 	}
 	rollback := func() {
 		for _, v := range sj.members {
-			_ = a.DetachJournal(v)
+			_ = a.detachJournal(v)
 		}
 		for _, j := range sj.shards {
 			delete(a.journals, j.id)
@@ -120,7 +117,7 @@ func (a *Array) CreateShardedConsistencyGroupSized(id string, vols []VolumeID, s
 	}
 	for _, v := range vols {
 		k := ShardFor(v, shards)
-		if err := a.AttachJournal(v, shardJournalID(id, k)); err != nil {
+		if err := a.attachJournal(v, shardJournalID(id, k)); err != nil {
 			rollback()
 			return nil, err
 		}
@@ -149,57 +146,18 @@ func (a *Array) DeleteShardedJournal(id string) error {
 		return fmt.Errorf("%w: %s", ErrNoSuchJournal, id)
 	}
 	for _, j := range sj.shards {
-		if err := a.DeleteJournal(j.id); err != nil {
+		if err := a.deleteJournal(j.id); err != nil {
 			return err
 		}
 	}
 	for _, j := range sj.retired {
-		if err := a.DeleteJournal(j.id); err != nil {
+		if err := a.deleteJournal(j.id); err != nil {
 			return err
 		}
 	}
 	sj.retired = nil
 	delete(a.sharded, id)
 	return nil
-}
-
-// ConvertToSharded wraps an existing plain consistency-group journal as a
-// single-shard sharded journal with the same ID, adopting its members and
-// pending backlog in place. The adopted shard keeps its identifier (no
-// "#s0" suffix — shard IDs are labels, not structure). Records already
-// pending carry epoch 0, which every sealed epoch exceeds, so a multi-lane
-// drain commits the pre-conversion backlog ahead of post-conversion epochs.
-// This is the entry point for live 1→N resharding of a group that started
-// on the paper's plain single-journal path.
-func (a *Array) ConvertToSharded(journalID string) (*ShardedJournal, error) {
-	j, ok := a.journals[journalID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchJournal, journalID)
-	}
-	if j.group != nil {
-		return nil, fmt.Errorf("storage: journal %s is already a shard of group %s", journalID, j.group.id)
-	}
-	if _, ok := a.sharded[journalID]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrJournalExists, journalID)
-	}
-	sj := &ShardedJournal{
-		env:              a.env,
-		array:            a,
-		id:               journalID,
-		shards:           []*Journal{j},
-		byVol:            make(map[VolumeID]int, len(j.members)),
-		epoch:            1,
-		capacityPerShard: j.capacityBytes,
-		overflowed:       j.overflowed,
-		overflows:        j.overflows,
-	}
-	for _, v := range j.members {
-		sj.byVol[v] = 0
-		sj.members = append(sj.members, v)
-	}
-	j.group = sj
-	a.sharded[journalID] = sj
-	return sj, nil
 }
 
 // ID returns the group journal identifier.
@@ -326,7 +284,7 @@ func (sj *ShardedJournal) SetCapacityPerShard(n int) {
 func (sj *ShardedJournal) ClearOverflow() {
 	sj.overflowed = false
 	for _, j := range sj.shards {
-		j.ClearOverflow()
+		j.suspend(false)
 	}
 }
 
@@ -337,7 +295,7 @@ func (sj *ShardedJournal) overflow() {
 	sj.overflows++
 	for _, j := range sj.shards {
 		if !j.overflowed {
-			j.overflowLocal()
+			j.suspend(true)
 		}
 	}
 }
@@ -424,8 +382,7 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 	}
 	stats.BarrierEpoch = sj.SealEpoch()
 	for k := cur; k < newCount; k++ {
-		j := newJournal(a.env, a, shardJournalID(sj.id, k), sj.capacityPerShard)
-		j.group = sj
+		j := newJournal(sj, shardJournalID(sj.id, k), sj.capacityPerShard)
 		a.journals[j.id] = j
 		sj.shards = append(sj.shards, j)
 	}
@@ -436,10 +393,10 @@ func (sj *ShardedJournal) Reshard(newCount int) (ReshardStats, error) {
 			continue
 		}
 		moved := sj.shards[oldIdx].takeVolume(v)
-		if err := a.DetachJournal(v); err != nil {
+		if err := a.detachJournal(v); err != nil {
 			return stats, err
 		}
-		if err := a.AttachJournal(v, sj.shards[newIdx].id); err != nil {
+		if err := a.attachJournal(v, sj.shards[newIdx].id); err != nil {
 			return stats, err
 		}
 		sj.shards[newIdx].mergeIn(moved)

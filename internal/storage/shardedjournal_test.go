@@ -244,14 +244,14 @@ func TestShardedGroupLifecycleGuards(t *testing.T) {
 	if _, err := a.ShardedJournal("cg2"); err == nil {
 		t.Fatal("failed create left a registered group")
 	}
-	if _, err := a.Journal(shardJournalID("cg2", 0)); err == nil {
+	if _, ok := a.journals[shardJournalID("cg2", 0)]; ok {
 		t.Fatal("failed create left shard journals behind")
 	}
 	if err := a.DeleteShardedJournal("cg"); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < sj.ShardCount(); k++ {
-		if _, err := a.Journal(shardJournalID("cg", k)); err == nil {
+		if _, ok := a.journals[shardJournalID("cg", k)]; ok {
 			t.Fatalf("shard %d survives group deletion", k)
 		}
 	}

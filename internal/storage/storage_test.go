@@ -126,12 +126,7 @@ func TestJournaledWritePaysJournalLatency(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, "m", Config{WriteLatency: time.Millisecond, JournalLatency: 100 * time.Microsecond})
 	v, _ := a.CreateVolume("v", 10)
-	if _, err := a.CreateJournal("j"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AttachJournal("v", "j"); err != nil {
-		t.Fatal(err)
-	}
+	plainCG(t, a, "j", "v")
 	env.Process("io", func(p *sim.Proc) { v.Write(p, 0, block(a, 1)) })
 	end := env.Run(0)
 	if end != 1100*time.Microsecond {
@@ -163,10 +158,7 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 	env, a := newTestArray(t)
 	a.CreateVolume("sales", 10)
 	a.CreateVolume("stock", 10)
-	j, err := a.CreateConsistencyGroup("cg", []VolumeID{"sales", "stock"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := plainCG(t, a, "cg", "sales", "stock")
 	if m := j.Members(); len(m) != 2 {
 		t.Fatalf("members = %v", m)
 	}
@@ -195,36 +187,50 @@ func TestConsistencyGroupSharesOneOrder(t *testing.T) {
 	}
 }
 
+// plainCG provisions a one-shard consistency group over vols and returns
+// its shard journal.
+func plainCG(t *testing.T, a *Array, id string, vols ...VolumeID) *Journal {
+	t.Helper()
+	sj, err := a.CreateShardedConsistencyGroup(id, vols, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sj.Shards()[0]
+}
+
 func TestCreateConsistencyGroupRollsBackOnFailure(t *testing.T) {
 	_, a := newTestArray(t)
 	a.CreateVolume("a", 10)
-	if _, err := a.CreateConsistencyGroup("cg", []VolumeID{"a", "missing"}); err == nil {
+	if _, err := a.CreateShardedConsistencyGroup("cg", []VolumeID{"a", "missing"}, 1); err == nil {
 		t.Fatal("expected failure")
 	}
 	v, _ := a.Volume("a")
 	if v.Journal() != nil {
 		t.Fatal("rollback left volume attached")
 	}
-	if _, err := a.Journal("cg"); !errors.Is(err, ErrNoSuchJournal) {
-		t.Fatal("rollback left journal")
+	if _, err := a.ShardedJournal("cg"); !errors.Is(err, ErrNoSuchJournal) {
+		t.Fatal("rollback left the group journal")
+	}
+	if u := a.Usage(); u.Journals != 0 {
+		t.Fatalf("rollback left %d shard journals", u.Journals)
 	}
 }
 
 func TestAttachJournalTwiceFails(t *testing.T) {
 	_, a := newTestArray(t)
 	a.CreateVolume("v", 10)
-	a.CreateJournal("j1")
-	a.CreateJournal("j2")
-	if err := a.AttachJournal("v", "j1"); err != nil {
+	j1 := plainCG(t, a, "j1")
+	j2 := plainCG(t, a, "j2")
+	if err := a.attachJournal("v", j1.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AttachJournal("v", "j2"); !errors.Is(err, ErrJournalAttached) {
+	if err := a.attachJournal("v", j2.ID()); !errors.Is(err, ErrJournalAttached) {
 		t.Fatalf("double attach: %v", err)
 	}
-	if err := a.DetachJournal("v"); err != nil {
+	if err := a.detachJournal("v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AttachJournal("v", "j2"); err != nil {
+	if err := a.attachJournal("v", j2.ID()); err != nil {
 		t.Fatalf("attach after detach: %v", err)
 	}
 }
@@ -232,12 +238,11 @@ func TestAttachJournalTwiceFails(t *testing.T) {
 func TestDeleteVolumeGuardrails(t *testing.T) {
 	env, a := newTestArray(t)
 	a.CreateVolume("v", 10)
-	a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	plainCG(t, a, "j", "v")
 	if err := a.DeleteVolume("v"); err == nil {
 		t.Fatal("deleted journal-attached volume")
 	}
-	a.DetachJournal("v")
+	a.DeleteShardedJournal("j")
 	a.CreateSnapshot("s", "v")
 	if err := a.DeleteVolume("v"); err == nil {
 		t.Fatal("deleted snapped volume")
@@ -252,8 +257,7 @@ func TestDeleteVolumeGuardrails(t *testing.T) {
 func TestJournalTakeBlocksUntilAppend(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 10)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := plainCG(t, a, "j", "v")
 	var recs []Record
 	var takeAt time.Duration
 	env.Process("drain", func(p *sim.Proc) {
@@ -275,7 +279,7 @@ func TestJournalTakeBlocksUntilAppend(t *testing.T) {
 
 func TestJournalTakeTimeout(t *testing.T) {
 	env, a := newTestArray(t)
-	j, _ := a.CreateJournal("j")
+	j := plainCG(t, a, "j")
 	var recs []Record
 	var at time.Duration
 	env.Process("drain", func(p *sim.Proc) {
@@ -294,8 +298,7 @@ func TestJournalTakeTimeout(t *testing.T) {
 func TestJournalTakeMaxBatches(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 100)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := plainCG(t, a, "j", "v")
 	env.Process("io", func(p *sim.Proc) {
 		for i := int64(0); i < 10; i++ {
 			v.Write(p, i, block(a, byte(i)))
@@ -324,8 +327,7 @@ func TestJournalTakeMaxBatches(t *testing.T) {
 func TestJournalRPOBookkeeping(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 10)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := plainCG(t, a, "j", "v")
 	if _, ok := j.OldestPendingAck(); ok {
 		t.Fatal("empty journal reported an oldest ack")
 	}
@@ -441,8 +443,7 @@ func TestSnapshotGroupAtomicAndRollback(t *testing.T) {
 func TestApplyPathDoesNotJournal(t *testing.T) {
 	env, a := newTestArray(t)
 	v, _ := a.CreateVolume("v", 10)
-	j, _ := a.CreateJournal("j")
-	a.AttachJournal("v", "j")
+	j := plainCG(t, a, "j", "v")
 	env.Process("apply", func(p *sim.Proc) {
 		if err := v.Apply(p, 0, block(a, 9)); err != nil {
 			t.Error(err)

@@ -178,7 +178,7 @@ func (v *Volume) commit(now time.Duration, block int64, data []byte) Ack {
 			// (started at overflow) records it for the eventual resync.
 		case v.journal.capacityBytes > 0 &&
 			v.journal.PendingBytes()+len(buf)+recordHeaderBytes > v.journal.capacityBytes:
-			v.journal.overflow()
+			v.journal.group.overflow()
 			v.noteChange(block) // tracking started just now; cover this write
 		default:
 			ack.GroupSeq = v.journal.append(v.id, block, buf, ack.GlobalSeq, now)

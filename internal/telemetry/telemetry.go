@@ -254,10 +254,9 @@ type Probe struct {
 //
 // Re-registering an existing key REBINDS the probe: the new callback
 // continues the same series. That is the component-replacement contract —
-// when the control plane swaps a tenant's replication engine (the live
-// 1→N reshard upgrade, or a reconcile retry after a partial failure), the
-// tenant's timeline continues under its key instead of panicking or
-// forking.
+// when the control plane rebuilds a tenant's replication engine (a
+// reconcile retry after a partial failure), the tenant's timeline continues
+// under its key instead of panicking or forking.
 func (r *Registry) Probe(name string, fn func(now time.Duration) (float64, bool), labels ...Label) *Probe {
 	if r == nil {
 		return nil
