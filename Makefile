@@ -11,7 +11,9 @@
 #         committed BENCH_baseline.json (alloc regressions warn; new
 #         benches are allowed and reported). `make bench-smoke` is the
 #         cheaper 1x-iteration harness check when you only want "does it
-#         still run". `make telemetry-smoke` runs the E16 observability
+#         still run"; `make layer-bench-smoke` runs every per-layer
+#         benchmark under internal/ once, and is part of `make ci`.
+#         `make telemetry-smoke` runs the E16 observability
 #         experiment end-to-end and writes its telemetry export
 #         (telemetry.json, Chrome trace-event JSON viewable in Perfetto);
 #         CI archives it next to bench-report.json so a churn run's RPO
@@ -41,9 +43,9 @@ GO ?= go
 # committed baseline).
 BENCH_THRESHOLD ?= 0.25
 
-.PHONY: ci fmt vet build test test-race perfbench-test bench-smoke bench-check baseline telemetry-smoke autopilot-smoke chaos-smoke chaos
+.PHONY: ci fmt vet build test test-race perfbench-test bench-smoke layer-bench-smoke bench-check baseline telemetry-smoke autopilot-smoke chaos-smoke chaos
 
-ci: fmt vet build test test-race perfbench-test bench-check telemetry-smoke autopilot-smoke chaos-smoke
+ci: fmt vet build test test-race perfbench-test layer-bench-smoke bench-check telemetry-smoke autopilot-smoke chaos-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -71,6 +73,12 @@ perfbench-test:
 # without paying for a statistically meaningful measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# One iteration of every per-layer benchmark under internal/ (kernel steps,
+# storage, replication commits, ...): `go test ./...` never runs
+# benchmarks, so this is what keeps them compiling and running.
+layer-bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # The bench-regression gate: run the harnesses 3 times, then compare each
 # harness's best (minimum ns/op) run against the committed baseline with

@@ -117,9 +117,14 @@ func outcomeDigest(outs []tenantOutcome, end time.Duration) uint64 {
 }
 
 // goldenOutcomeDigests pins outcomeDigest for goldenConfig seeds 1..8.
+// Seeds 6 and 7 were re-pinned when one-lane commits were pipelined (the
+// lane transfers while the commit process queues for the backup
+// controller): every per-tenant outcome stayed byte-identical and only the
+// end time moved, 132.34 -> 131.94 ms and 117.20 -> 116.80 ms, because the
+// final drain finishes earlier.
 var goldenOutcomeDigests = [8]uint64{
 	0x7715bc654de5923f, 0xa12e6b464842478f, 0x6fce91b9ef91cc86, 0xb8163b95f37af4eb,
-	0x5fdf504fef71cc07, 0x2539052c34cdce62, 0xa9f050fe37167eeb, 0x20999479e7851a71,
+	0x5fdf504fef71cc07, 0x73e04b5ea83635ed, 0x559f91fd70130ac2, 0x20999479e7851a71,
 }
 
 // TestFleetGoldenTraceParallelMatchesSequential runs randomized fleet

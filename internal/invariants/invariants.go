@@ -130,11 +130,11 @@ var _ CommitLog = replication.Replicator(nil)
 
 // CheckCommitBoundary asserts that a group's backup image sits on a commit
 // boundary, in whichever mode applied each record. The leading
-// DirectApplied records of the apply log were applied by the one-lane path
+// DirectApplied records of the apply log were applied by one-lane commits
 // and must be an exact prefix of its shard's sequence (Seq 1, 2, 3, ...:
-// no hole, no reorder). Every later record was committed by the epoch
-// coordinator, which installs an epoch and advances the committed epoch in
-// the same scheduler step, so none may carry an epoch newer than the last
+// no hole, no reorder). Every later record was installed by an epoch
+// commit, which installs an epoch and advances the committed epoch in the
+// same scheduler step, so none may carry an epoch newer than the last
 // committed one. A violation means a batch or a barrier leaked.
 func CheckCommitBoundary(tenant string, g CommitLog) []Violation {
 	log, direct := g.ApplyLog(), g.DirectApplied()

@@ -22,7 +22,7 @@ type rig struct {
 	stock  *storage.Volume
 }
 
-func newRig(t *testing.T, linkCfg netlink.Config) *rig {
+func newRig(t testing.TB, linkCfg netlink.Config) *rig {
 	t.Helper()
 	env := sim.NewEnv(1)
 	main := storage.NewArray(env, "main", storage.Config{})
@@ -47,14 +47,14 @@ func newRig(t *testing.T, linkCfg netlink.Config) *rig {
 	}
 }
 
-func (r *rig) newCG(t *testing.T, cfg Config) *ShardedGroup {
+func (r *rig) newCG(t testing.TB, cfg Config) *ShardedGroup {
 	t.Helper()
 	return newOneLane(t, r.main, r.backup, "cg", r.links.Forward, cfg, "sales", "stock")
 }
 
 // newOneLane builds a plain consistency group: a one-shard journal over vols
 // on src, drained on one lane over path into identically named targets.
-func newOneLane(t *testing.T, src, target *storage.Array, id string, path fabric.Path, cfg Config, vols ...storage.VolumeID) *ShardedGroup {
+func newOneLane(t testing.TB, src, target *storage.Array, id string, path fabric.Path, cfg Config, vols ...storage.VolumeID) *ShardedGroup {
 	t.Helper()
 	j, err := src.CreateShardedConsistencyGroup(id, vols, 1)
 	if err != nil {

@@ -32,7 +32,7 @@ type Replicator interface {
 	UnappliedRecords() []storage.Record
 	// DirectApplied and CommittedEpoch locate the commit boundary the
 	// invariants check: the leading DirectApplied records of ApplyLog were
-	// applied by the one-lane path, the rest by epoch commits.
+	// applied by one-lane commits, the rest by epoch commits.
 	DirectApplied() int
 	CommittedEpoch() int64
 

@@ -206,13 +206,13 @@ func TestReshardSameCountIsNoop(t *testing.T) {
 
 // TestReshardOneLaneInPlaceWithoutLoss reshards a one-lane group 1->4 while
 // a batch is in flight on the thin link: nothing is lost or applied twice,
-// the epoch coordinator takes over every commit after the direct applies,
-// and the drain converges to the exact source image.
+// epoch commits take over after the one-lane commits, and the drain
+// converges to the exact source image.
 func TestReshardOneLaneInPlaceWithoutLoss(t *testing.T) {
 	link := netlink.Config{Propagation: 2 * time.Millisecond, BandwidthBps: 4e6}
 	r := newShardedRig(t, 1, 8, link, Config{BatchMax: 8})
 	if r.g.coordinated {
-		t.Fatal("a one-lane group started with a coordinator")
+		t.Fatal("a one-lane group started on epoch commits")
 	}
 	r.g.Start()
 	const writes = 128

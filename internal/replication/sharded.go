@@ -17,25 +17,26 @@ import (
 // path, so a tenant's drain throughput scales with shard count. A plain
 // consistency group is simply one shard.
 //
-// A group with one lane applies each batch itself: transfer, then the
-// delta-set apply, then install in sequence order. A single shard's batch
-// boundaries are prefixes of its ack order, so the backup image always sits
-// on an exact ack-order prefix and no barrier is needed.
+// Lanes only take, transfer and stage; one commit process per group
+// applies. With one lane it needs no epoch: a lone lane's staged list is
+// always a prefix of its shard's ack order, so the commit process queues for
+// a backup controller slot and, once granted, applies everything staged by
+// then and installs it in sequence order. The backup image sits on an exact
+// ack-order prefix, and the lane keeps transferring while the commit waits.
 //
-// Past one lane, an epoch coordinator enforces the cross-shard ordering
-// barrier. It starts when the group is built with more than one lane, or
-// the first time a reshard takes it past one lane, and then stays for the
-// rest of the group's life:
+// Past one lane (from construction, or from the first reshard past one
+// lane, for the rest of the group's life) the commit process is an epoch
+// coordinator enforcing the cross-shard ordering barrier:
 //
 //  1. every record carries the group epoch open at ack time; sealing an
 //     epoch is atomic, so "all records with epoch <= E" is an exact prefix
 //     of the group's cross-volume ack order;
 //  2. lanes transfer records lane-locally and STAGE them at the target —
 //     staged records are not yet part of the backup image;
-//  3. the coordinator seals epochs whenever there is backlog and, once every
-//     lane has staged its share of the sealed epoch (the barrier), commits
-//     the whole epoch: the target applies the delta set and exposes it
-//     atomically. The backup image therefore always sits exactly on an
+//  3. the commit process seals epochs whenever there is backlog and, once
+//     every lane has staged its share of the sealed epoch (the barrier),
+//     commits the whole epoch: the target applies the delta set and exposes
+//     it atomically. The backup image therefore always sits exactly on an
 //     epoch boundary = a consistent cross-volume cut, no matter when a
 //     disaster splits the pair.
 //
@@ -57,10 +58,11 @@ type ShardedGroup struct {
 	stopped      bool
 	failedOver   bool
 	started      bool
-	coordinated  bool       // the epoch coordinator owns commits (never cleared)
-	progress     *sim.Event // pulsed by lanes as they stage; the barrier wait
-	committed    *sim.Event // pulsed per epoch commit or idle direct lane; CatchUp waits on it
-	reconfigured *sim.Event // pulsed by Reshard; wakes the coordinator onto the new lane set
+	coordinated  bool         // commits go by epoch (past one lane; never cleared)
+	progress     *sim.Event   // pulsed by lanes as they stage; the commit process waits on it
+	committed    *sim.Event   // pulsed per commit; CatchUp waits on it
+	reconfigured *sim.Event   // pulsed by Reshard; wakes the commit process onto the new lane set
+	waitSet      []*sim.Event // the commit process's idle and barrier wait set, reused
 
 	// Reshard state. While resharding is set, one volume's staged records
 	// can be split across two lanes (its old shard's lane staged pre-barrier
@@ -75,7 +77,7 @@ type ShardedGroup struct {
 
 	committedEpoch int64
 	epochCommits   int64
-	directApplied  int // leading ApplyLog records applied by the one-lane path
+	directApplied  int // leading ApplyLog records applied by one-lane commits
 	appliedRecords int64
 	appliedBytes   int64
 	applyLog       []storage.Record // applied at target, for verification
@@ -97,14 +99,15 @@ type drainLane struct {
 	journal *storage.Journal
 	path    fabric.Path
 
-	batch  []storage.Record // drain scratch, reused across batches
-	staged []storage.Record // transferred, awaiting an epoch commit
+	batch   []storage.Record // drain scratch, reused across batches
+	staged  []storage.Record // transferred, awaiting a commit
+	waitSet [3]*sim.Event    // the idle wait set, reused
 
-	inflight      int           // records taken but not yet staged or applied
+	inflight      int           // records taken but not yet staged
 	inflightEpoch int64         // epoch of the first in-flight record
 	inflightAck   time.Duration // ack time of the first in-flight record
 
-	// retire is triggered by the coordinator once a retiring lane has
+	// retire is triggered by the commit process once a retiring lane has
 	// nothing left to drain, stage, or commit; the lane process exits on it.
 	retire *sim.Event
 }
@@ -229,8 +232,7 @@ func (g *ShardedGroup) bulkCopy(p *sim.Proc, src storage.VolumeID, sv, tv *stora
 	return nil
 }
 
-// Start launches one drain process per lane, plus the epoch coordinator
-// when the group has more than one lane.
+// Start launches one drain process per lane, then the commit process.
 func (g *ShardedGroup) Start() {
 	if g.started {
 		return
@@ -239,16 +241,14 @@ func (g *ShardedGroup) Start() {
 	for _, l := range g.lanes {
 		g.startLane(l)
 	}
-	if g.coordinated {
-		g.env.Process("adc-epoch:"+g.name, g.coordinate)
-	}
+	g.env.Process("adc-commit:"+g.name, g.commit)
 }
 
 func (g *ShardedGroup) startLane(l *drainLane) {
 	g.env.Process(fmt.Sprintf("adc-lane:%s:s%d", g.name, l.idx), func(p *sim.Proc) { g.drainLane(p, l) })
 }
 
-// Stop halts the lanes and the coordinator after their in-flight step.
+// Stop halts the lanes and the commit process after their in-flight step.
 // Pending journal records stay at the main site — exactly the data a
 // disaster would lose (RPO) — and a batch or staged records not yet applied
 // are lost at the split.
@@ -263,9 +263,8 @@ func (g *ShardedGroup) Stop() {
 // Stopped reports whether Stop was called.
 func (g *ShardedGroup) Stopped() bool { return g.stopped }
 
-// drainLane moves one shard's records across the lane's path. Without a
-// coordinator the lane applies each batch itself; with one it stages them
-// for the next epoch commit.
+// drainLane moves one shard's records across the lane's path and stages
+// them for the commit process.
 func (g *ShardedGroup) drainLane(p *sim.Proc, l *drainLane) {
 	for {
 		// The batch scratch is reused across iterations; records that
@@ -276,10 +275,8 @@ func (g *ShardedGroup) drainLane(p *sim.Proc, l *drainLane) {
 		}
 		if recs == nil {
 			g.pulseProgress()
-			if !g.coordinated {
-				g.pulseCommitted() // a direct lane with an empty shard is caught up
-			}
-			switch p.WaitAny(l.journal.NotEmpty(), g.stopEv, l.retire) {
+			l.waitSet = [3]*sim.Event{l.journal.NotEmpty(), g.stopEv, l.retire}
+			switch p.WaitAny(l.waitSet[:]...) {
 			case 1:
 				return
 			case 2:
@@ -305,44 +302,10 @@ func (g *ShardedGroup) drainLane(p *sim.Proc, l *drainLane) {
 			l.inflight = 0
 			return
 		}
-		if !g.coordinated {
-			if !g.applyDirect(p, l, recs) {
-				return
-			}
-			continue
-		}
 		l.staged = append(l.staged, recs...)
 		l.inflight = 0
 		g.pulseProgress()
 	}
-}
-
-// applyDirect is the one-lane commit: the batch is a prefix of the shard's
-// ack order, charged in one delta-set apply and then installed at zero cost
-// in sequence order, so loss at a split is batch-atomic and the target
-// always holds an exact prefix of batch boundaries. A reshard that starts
-// the coordinator during the transfer makes the lane stage the batch
-// instead; one that lands during the apply cannot commit past it, because
-// the in-flight batch holds the lane's staged-through epoch below every
-// sealed epoch. It reports false when a stop split the pair mid-apply.
-func (g *ShardedGroup) applyDirect(p *sim.Proc, l *drainLane, recs []storage.Record) bool {
-	g.target.ApplyDeltaSet(p, len(recs))
-	if g.stopped {
-		g.lost = append(g.lost, recs...)
-		l.inflight = 0
-		return false
-	}
-	p.Do(func() {
-		for _, r := range recs {
-			g.install(r)
-			g.appliedBytes += int64(len(r.Data))
-		}
-		g.appliedRecords += int64(len(recs))
-		g.directApplied += len(recs)
-		l.inflight = 0
-	})
-	g.pulseProgress()
-	return true
 }
 
 // stagedThrough returns the highest epoch the lane has fully staged: no
@@ -379,27 +342,28 @@ func (g *ShardedGroup) allStagedThrough(epoch int64) bool {
 	return true
 }
 
-// coordinate runs the epoch cycle: seal whenever there is backlog, wait for
-// every lane to stage its share of the sealed epoch (the barrier), commit
-// the epoch atomically at the target, repeat. After a reshard it also
-// settles the migration window and reaps retiring lanes once their last
-// staged records are committed.
-func (g *ShardedGroup) coordinate(p *sim.Proc) {
-	for {
-		if g.stopped {
-			return
-		}
+// commit is the group's commit process. On one lane it commits whatever
+// is staged (commitStaged). Past one lane it runs the epoch cycle: seal
+// whenever there is backlog, wait for every lane to stage its share of the
+// sealed epoch (the barrier), commit the epoch atomically at the target,
+// repeat. After a reshard it also settles the migration window and reaps
+// retiring lanes once their last staged records are committed.
+func (g *ShardedGroup) commit(p *sim.Proc) {
+	for !g.stopped {
 		g.settleReshard()
+		if !g.coordinated {
+			if !g.commitStaged(p) {
+				return
+			}
+			continue
+		}
 		if g.backlogRecords() == 0 {
-			evs := make([]*sim.Event, 0, len(g.lanes)+2)
+			evs := g.waitSet[:0]
 			for _, l := range g.lanes {
 				evs = append(evs, l.journal.NotEmpty())
 			}
-			evs = append(evs, g.reconfiguredEv(), g.stopEv)
-			if p.WaitAny(evs...) == len(evs)-1 {
-				return
-			}
-			if g.stopped {
+			g.waitSet = append(evs, g.reconfiguredEv(), g.stopEv)
+			if p.WaitAny(g.waitSet...) == len(g.waitSet)-1 {
 				return
 			}
 			continue
@@ -411,7 +375,8 @@ func (g *ShardedGroup) coordinate(p *sim.Proc) {
 			sp = g.tel.StartSpan("epoch", "epoch-drain", g.tenant)
 		}
 		for !g.allStagedThrough(sealed) {
-			if p.WaitAny(g.progressEv(), g.stopEv) == 1 {
+			g.waitSet = append(g.waitSet[:0], g.progressEv(), g.stopEv)
+			if p.WaitAny(g.waitSet...) == 1 {
 				return
 			}
 			if g.stopped {
@@ -422,6 +387,57 @@ func (g *ShardedGroup) coordinate(p *sim.Proc) {
 		sp.End()
 		g.epochLatency.Record(p.Now() - sealedAt)
 	}
+}
+
+// commitStaged makes one one-lane commit. With nothing staged it waits for
+// the lane to stage. Otherwise it queues for a backup controller slot and,
+// once granted, applies every record staged by then in one delta set and
+// installs them in sequence order, so each commit is batch-atomic at a
+// split and extends an exact prefix of the shard's ack order. A reshard
+// past one lane while the commit queues leaves the staged records to the
+// epoch path. It reports false once the group has stopped.
+func (g *ShardedGroup) commitStaged(p *sim.Proc) bool {
+	l := g.lanes[0]
+	if len(l.staged) == 0 {
+		g.waitSet = append(g.waitSet[:0], g.progressEv(), g.reconfiguredEv(), g.stopEv)
+		return p.WaitAny(g.waitSet...) != 2
+	}
+	n := g.target.ApplyDeltaSetAtGrant(p, g.stagedAtGrant)
+	if n == 0 || g.stopped {
+		// A split while queued or mid-apply leaves the records staged:
+		// part of UnappliedRecords and the RPO.
+		return !g.stopped
+	}
+	p.Do(func() {
+		for _, r := range l.staged[:n] {
+			g.install(r)
+			g.appliedBytes += int64(len(r.Data))
+		}
+	})
+	l.dropStaged(n)
+	g.appliedRecords += int64(n)
+	g.directApplied += n
+	g.pulseCommitted()
+	return true
+}
+
+// stagedAtGrant sizes a one-lane commit when its controller slot is
+// granted: everything staged by then, or nothing once the group stopped or
+// a reshard handed commits to the epoch path.
+func (g *ShardedGroup) stagedAtGrant() int {
+	if g.stopped || g.coordinated {
+		return 0
+	}
+	return len(g.lanes[0].staged)
+}
+
+// dropStaged removes the first n staged records once they are committed.
+func (l *drainLane) dropStaged(n int) {
+	rest := copy(l.staged, l.staged[n:])
+	for i := rest; i < len(l.staged); i++ {
+		l.staged[i] = storage.Record{}
+	}
+	l.staged = l.staged[:rest]
 }
 
 // commitEpoch applies every staged record of epochs <= sealed to the target
@@ -502,11 +518,7 @@ func (g *ShardedGroup) commitEpoch(p *sim.Proc, sealed int64) {
 					n++
 				}
 			})
-			rest := copy(l.staged, l.staged[n:])
-			for i := rest; i < len(l.staged); i++ {
-				l.staged[i] = storage.Record{}
-			}
-			l.staged = l.staged[:rest]
+			l.dropStaged(n)
 		}
 	}
 	g.appliedRecords += int64(count)
@@ -624,16 +636,16 @@ func (g *ShardedGroup) RPO(now time.Duration) time.Duration {
 // Backlog returns the number of records not yet committed at the target.
 func (g *ShardedGroup) Backlog() int { return g.backlogRecords() }
 
-// CommittedEpoch returns the highest epoch the coordinator exposed at the
-// target (zero while the group applies on one lane without a coordinator).
+// CommittedEpoch returns the highest epoch committed at the target (zero
+// while the group commits on one lane).
 func (g *ShardedGroup) CommittedEpoch() int64 { return g.committedEpoch }
 
-// DirectApplied returns how many records the one-lane path applied without
-// a coordinator. They are the leading records of ApplyLog; every later one
-// was committed by an epoch.
+// DirectApplied returns how many records one-lane commits applied. They are
+// the leading records of ApplyLog; every later one was committed by an
+// epoch.
 func (g *ShardedGroup) DirectApplied() int { return g.directApplied }
 
-// EpochCommits returns how many consistency cuts the coordinator declared.
+// EpochCommits returns how many epochs were committed.
 func (g *ShardedGroup) EpochCommits() int64 { return g.epochCommits }
 
 // AppliedRecords returns the lifetime count of committed records.
@@ -643,7 +655,7 @@ func (g *ShardedGroup) AppliedRecords() int64 { return g.appliedRecords }
 func (g *ShardedGroup) AppliedBytes() int64 { return g.appliedBytes }
 
 // ApplyLog returns the records applied at the target in apply order: the
-// one-lane path's batches in shard-sequence order, then epoch by epoch,
+// one-lane commits in shard-sequence order, then epoch by epoch,
 // lane by lane within an epoch, shard-sequence order within a lane. The
 // consistency verifier reads it; callers must not mutate it.
 func (g *ShardedGroup) ApplyLog() []storage.Record { return g.applyLog }
@@ -679,8 +691,8 @@ func (g *ShardedGroup) Mapping() map[storage.VolumeID]storage.VolumeID {
 //     paths[k] given here; lanes for added shards start immediately on their
 //     own paths; lanes of retired shards stop taking (their journals are
 //     empty after migration) and only live on to commit what they had
-//     staged or in flight. The first reshard past one lane starts the epoch
-//     coordinator;
+//     staged or in flight. The first reshard past one lane switches the
+//     commit process to epochs;
 //  3. until every pre-barrier record is committed, epoch commits apply in
 //     global ack order (see commitEpoch) — so the backup image remains an
 //     exact ack-order prefix throughout, and a failover raced into the
@@ -739,13 +751,10 @@ func (g *ShardedGroup) Reshard(p *sim.Proc, paths []fabric.Path) (storage.Reshar
 			g.startLane(l)
 		}
 	}
-	if !g.coordinated && len(g.lanes) > 1 {
+	if len(g.lanes) > 1 {
 		g.coordinated = true
-		if g.started {
-			g.env.Process("adc-epoch:"+g.name, g.coordinate)
-		}
 	}
-	// Wake the coordinator onto the new lane set; migration may also have
+	// Wake the commit process onto the new lane set; migration may also have
 	// unblocked a sealed-epoch barrier wait by moving records around.
 	g.pulseReconfigured()
 	g.pulseProgress()

@@ -24,7 +24,7 @@ type shardedRig struct {
 	g      *ShardedGroup
 }
 
-func newShardedRig(t *testing.T, shards, vols int, linkCfg netlink.Config, cfg Config) *shardedRig {
+func newShardedRig(t testing.TB, shards, vols int, linkCfg netlink.Config, cfg Config) *shardedRig {
 	t.Helper()
 	env := sim.NewEnv(1)
 	main := storage.NewArray(env, "main", storage.Config{})

@@ -117,3 +117,49 @@ func TestSteadyStateStepsDoNotAllocate(t *testing.T) {
 		t.Fatalf("%d processes still live", env.Procs())
 	}
 }
+
+// TestWaitOnFreshEventDoesNotAllocate pins the cost of blocking on an event
+// nobody has waited on yet: the first waiter lives in the event's inline
+// backing array, so one Wait and one WaitAny (over a caller-owned slice)
+// allocate nothing beyond the events themselves, made up front here.
+func TestWaitOnFreshEventDoesNotAllocate(t *testing.T) {
+	const runs = 1000
+	env := NewEnv(1)
+	waitEvs, anyEvs := make([]*Event, runs+3), make([]*Event, runs+3)
+	for i := range waitEvs {
+		waitEvs[i], anyEvs[i] = env.NewEvent(), env.NewEvent()
+	}
+	never := env.NewEvent()
+	set := make([]*Event, 2)
+	i, stop := 0, false
+	env.Process("waiter", func(p *Proc) {
+		for k := 0; !stop; k++ {
+			p.Wait(waitEvs[k])
+			set[0], set[1] = never, anyEvs[k]
+			if p.WaitAny(set...) != 1 {
+				t.Error("WaitAny resumed on the wrong event")
+				return
+			}
+		}
+	})
+	env.Process("trigger", func(p *Proc) {
+		for ; !stop; i++ {
+			p.Sleep(time.Millisecond)
+			waitEvs[i].Trigger()
+			p.Sleep(0) // let the waiter block in WaitAny first
+			anyEvs[i].Trigger()
+		}
+	})
+	step := func() { env.Run(env.Now() + time.Millisecond) }
+	step() // warm up: grow the slab and queues
+	if got := testing.AllocsPerRun(runs, step); got != 0 {
+		t.Fatalf("Wait+WaitAny on fresh events allocates %.1f times, want 0", got)
+	}
+	if i < runs {
+		t.Fatalf("triggered %d rounds, want >= %d", i, runs)
+	}
+	stop = true
+	waitEvs[i].Trigger()
+	anyEvs[i].Trigger()
+	env.Run(0)
+}

@@ -7,6 +7,9 @@ type Event struct {
 	env       *Env
 	triggered bool
 	waiters   []waiter
+	// first backs waiters for the first waiter, so waiting on a fresh
+	// event does not allocate a waiter slice.
+	first [1]waiter
 }
 
 // waiter pairs a blocked process with its optional timeout entry so that a
@@ -46,6 +49,15 @@ func (ev *Event) Trigger() {
 		ev.env.schedule(w.proc, ev.env.now)
 	}
 	ev.waiters = nil
+	ev.first[0] = waiter{}
+}
+
+// addWaiter registers w, using the inline backing array for the first one.
+func (ev *Event) addWaiter(w waiter) {
+	if ev.waiters == nil {
+		ev.waiters = ev.first[:0]
+	}
+	ev.waiters = append(ev.waiters, w)
 }
 
 // remove deregisters p from the waiter list (used after a timeout fires so a

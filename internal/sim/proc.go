@@ -100,7 +100,7 @@ func (p *Proc) Wait(ev *Event) {
 	if ev.triggered {
 		return
 	}
-	ev.waiters = append(ev.waiters, waiter{proc: p})
+	ev.addWaiter(waiter{proc: p})
 	p.env.blocked++
 	p.block()
 	p.env.blocked--
@@ -116,7 +116,7 @@ func (p *Proc) WaitAny(evs ...*Event) int {
 		}
 	}
 	for _, ev := range evs {
-		ev.waiters = append(ev.waiters, waiter{proc: p, group: evs})
+		ev.addWaiter(waiter{proc: p, group: evs})
 	}
 	p.env.blocked++
 	p.block()
@@ -136,7 +136,7 @@ func (p *Proc) WaitTimeout(ev *Event, d time.Duration) bool {
 		return true
 	}
 	timer := p.env.schedule(p, p.env.now+d)
-	ev.waiters = append(ev.waiters, waiter{proc: p, timer: timer})
+	ev.addWaiter(waiter{proc: p, timer: timer})
 	p.env.blocked++
 	p.block()
 	p.env.blocked--

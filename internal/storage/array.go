@@ -262,15 +262,29 @@ func (a *Array) detachJournal(vol VolumeID) error {
 // afterwards (atomically, via Volume.InstallDelta) — see the sharded
 // replication engine's epoch commit.
 func (a *Array) ApplyDeltaSet(p *sim.Proc, n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		a.controller.Acquire(p)
+		a.applyHeld(p, n)
 	}
+}
+
+// ApplyDeltaSetAtGrant is ApplyDeltaSet for a delta set that keeps growing
+// while the caller queues for a controller slot: size is called once the
+// slot is granted and fixes n, which is returned. With n <= 0 the slot is
+// released at once and no time passes.
+func (a *Array) ApplyDeltaSetAtGrant(p *sim.Proc, size func() int) int {
 	a.controller.Acquire(p)
-	d := time.Duration(n) * a.cfg.WriteLatency / time.Duration(a.cfg.Parallelism)
-	if d < a.cfg.WriteLatency {
-		d = a.cfg.WriteLatency
+	n := max(size(), 0)
+	a.applyHeld(p, n)
+	return n
+}
+
+// applyHeld charges an n-block apply (nothing for n = 0) on a held
+// controller slot, then releases it.
+func (a *Array) applyHeld(p *sim.Proc, n int) {
+	if n > 0 {
+		p.Sleep(max(time.Duration(n)*a.cfg.WriteLatency/time.Duration(a.cfg.Parallelism), a.cfg.WriteLatency))
 	}
-	p.Sleep(d)
 	a.controller.Release()
 }
 

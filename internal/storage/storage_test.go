@@ -641,3 +641,43 @@ func TestDeleteVolumeSnapshotsShrinksGroups(t *testing.T) {
 		t.Fatalf("usage after deletes = %+v", u)
 	}
 }
+
+// TestApplyDeltaSetAtGrantSizesAtGrant: the size callback runs when the
+// controller slot is granted, not when the caller queues, and the apply is
+// charged the same cost as ApplyDeltaSet for that size; a zero size hands
+// the slot straight back without charging time.
+func TestApplyDeltaSetAtGrantSizesAtGrant(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := NewArray(env, "a", Config{Parallelism: 1})
+	const hold = 10 * time.Millisecond
+	env.Process("holder", func(p *sim.Proc) {
+		a.controller.Acquire(p)
+		p.Sleep(hold)
+		a.controller.Release()
+	})
+	staged := 0
+	var n, empty int
+	var appliedAt, emptyAt time.Duration
+	env.Process("grower", func(p *sim.Proc) {
+		for i := 0; i < 5; i++ {
+			staged += 8
+			p.Sleep(time.Millisecond)
+		}
+	})
+	env.Process("commit", func(p *sim.Proc) {
+		n = a.ApplyDeltaSetAtGrant(p, func() int { return staged })
+		appliedAt = p.Now()
+		empty = a.ApplyDeltaSetAtGrant(p, func() int { return 0 })
+		emptyAt = p.Now()
+	})
+	env.Run(0)
+	if n != 40 {
+		t.Fatalf("sized %d blocks, want the 40 staged by the grant", n)
+	}
+	if want := hold + 40*a.Config().WriteLatency; appliedAt != want {
+		t.Fatalf("apply finished at %v, want %v", appliedAt, want)
+	}
+	if empty != 0 || emptyAt != appliedAt || a.controller.InUse() != 0 {
+		t.Fatalf("empty apply: n=%d at %v, %d slots still held", empty, emptyAt, a.controller.InUse())
+	}
+}
